@@ -8,8 +8,8 @@ Subcommands:
 * ``validate`` self-checks: oracle cross-check, forest validity, uniformity
 
 All CSV output starts with ``#`` comment lines echoing the full run
-configuration.  With a fixed ``--seed`` and ``--threads 1`` the CSV content
-is byte-for-byte reproducible; wall-clock timings are kept out of it
+configuration.  With a fixed ``--seed`` the CSV content is byte-for-byte
+reproducible; wall-clock timings are kept out of it
 (``replay`` writes them to a separate file on request).
 """
 
@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.01, help="failure probability")
     p.add_argument("--prune-factor", type=float, default=5.0,
                    help="forest list cap as a multiple of its seed size")
-    p.add_argument("--threads", type=int, default=1, help="sampling worker streams")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("query", help="estimate one entry (i, j)")
@@ -120,7 +121,7 @@ def _config_lines(args: argparse.Namespace, g: Digraph | None = None) -> list[st
     lines = [
         f"# forestq {args.command}",
         f"# graph={args.graph} mode={args.mode} seed={args.seed} epsilon={args.epsilon}"
-        f" delta={args.delta} prune_factor={args.prune_factor} threads={args.threads}",
+        f" delta={args.delta} prune_factor={args.prune_factor}",
     ]
     if g is not None:
         lines.append(f"# n={g.n} m={g.m}")
@@ -149,7 +150,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         count = required_samples(_params(args), g.out_degree(j), diagonal=(i == j))
     rng = ForestRng(args.seed)
     t0 = time.perf_counter()
-    forests = sample_forest_list(g, count, rng, workers=args.threads)
+    forests = sample_forest_list(g, count, rng)
     t1 = time.perf_counter()
     if args.method == "sfq":
         est = sfq_query(forests, i, j)
@@ -193,7 +194,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ValueError("--samples must be >= 1")
     cfg = PruneConfig(count, args.prune_factor)
     rng = ForestRng(args.seed)
-    forests = sample_forest_list(g, count, rng, workers=args.threads)
+    forests = sample_forest_list(g, count, rng)
 
     def run_queries() -> list[float]:
         vals = []
@@ -270,7 +271,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     pick = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed + 1)))
 
     t0 = time.perf_counter()
-    forests = sample_forest_list(g, count, rng, workers=args.threads)
+    forests = sample_forest_list(g, count, rng)
     build_seconds = time.perf_counter() - t0
 
     def random_pairs(k: int) -> list[tuple[int, int]]:

@@ -146,7 +146,10 @@ def apply_stream(
         # Updates never shrink the list and prune stops at the threshold, so
         # the weight can never fall below the seed count; no replenishment
         # sampling is ever needed.
-        assert forests.total_weight >= floor
+        if forests.total_weight < floor:
+            raise RuntimeError(
+                f"event {idx}: list weight {forests.total_weight} fell below {floor}"
+            )
         if forests.total_weight > cfg.threshold:
             prune(forests, cfg, rng)
         applied += 1

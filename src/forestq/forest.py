@@ -5,7 +5,8 @@ is the node i points to, or -1 if i is a root.  Every weakly connected
 component is a tree whose edges all point toward its root, so following
 successors from any node terminates at that node's root.
 
-Root lookups are cached per node.  Mutating a forest only sets a dirty
+Root lookups are cached per node.  The sampler hands every forest over with
+a clean cache, found while it sampled.  Mutating a forest only sets a dirty
 flag; stale caches are repaired either on demand (one chain walk per query)
 or wholesale by :meth:`Forest.rebuild_roots`.
 """

@@ -17,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .graph import Digraph
 
@@ -45,6 +42,8 @@ def exact_forest_matrix(g: Digraph) -> np.ndarray:
     Limited to ``DENSE_NODE_LIMIT`` nodes; use :func:`exact_entries` for
     selected entries of larger graphs.
     """
+    import scipy.linalg
+
     n = g.n
     if n > DENSE_NODE_LIMIT:
         raise ValueError(f"n={n} exceeds dense oracle limit {DENSE_NODE_LIMIT}")
@@ -61,6 +60,9 @@ def exact_entries(g: Digraph, pairs: list[tuple[int, int]]) -> np.ndarray:
     Factorizes once and solves one right-hand side per distinct column, so
     it stays cheap even at node counts far beyond the dense limit.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     n = g.n
     rows, cols, vals = [], [], []
     for u in range(n):

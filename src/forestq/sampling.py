@@ -1,41 +1,47 @@
 """Uniform random sampling of spanning converging forests.
 
-The sampler runs a loop-erased random walk on the graph augmented with an
-implicit absorbing state: at a node of out-degree d the walk stops and roots
-there with probability 1/(1+d), otherwise it moves to a uniform out-neighbor.
-Walks are started from every node in ascending order and terminate on
-reaching the already-committed part of the forest; cycles are erased by
-overwriting next-hops in place.  The resulting successor assignment is an
-exact uniform draw over all spanning converging forests, in expected O(n)
-steps per sample.
+The sampler is cycle popping (Propp & Wilson 1998) on the graph augmented
+with an implicit absorbing state.  Every node draws an arrow: with
+probability 1/(1+d), for out-degree d, it becomes a root, otherwise it
+points at a uniform out-neighbor.  Arrows that close a directed cycle are
+drawn again until no cycle is left.  The result is an exact uniform draw
+over all spanning converging forests, and it does not depend on the order
+in which cycles are popped, so the cycles of many forests are popped at
+once with numpy.
 
-Randomness comes from a counter-based generator (Philox) wrapped with a
-block buffer, so sampling is reproducible from a seed and cheap per step.
-Worker streams for batch sampling are derived by splitting the master seed;
-the output of :func:`sample_forest_list` depends only on (graph, count,
-seed, workers), never on scheduling.
+Forests are drawn in chunks of about ``_CHUNK`` node slots.  Within a
+chunk, pointer doubling sends each node to its root or onto the cycle it
+runs into.  A node that reached a root is settled for good, since its path
+holds no cycle node; the nodes on cycles draw again and the rest wait for
+the next round.  The last doubling pass leaves every node at its root, so
+forests come back with a clean root cache.
+
+Randomness comes from a counter-based generator (Philox), and the chunk
+size is a constant, so the output of :func:`sample_forest_list` depends
+only on (graph, count, seed).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 import numpy as np
 
 from .forest import Forest, ForestList
 from .graph import Digraph
 
-_BLOCK = 4096
-# Root caches are filled eagerly for small graphs, where queries typically
-# touch every forest, and left lazy for large ones, where they would
-# dominate sampling cost.
-_EAGER_ROOT_LIMIT = 64
+# Node slots (forests x nodes) popped together.  Small enough to keep the
+# work arrays near 5 MB; a chunk always holds at least one forest.
+_CHUNK = 1 << 16
+# Each round pops every cycle present; termination is almost sure, so
+# hitting this cap means something is broken.
+_MAX_ROUNDS = 10_000
 
 
 class ForestRng:
-    """Seeded, splittable random stream with buffered uniform draws."""
+    """Seeded, splittable random stream."""
 
-    __slots__ = ("seed_seq", "generator", "_buf", "_pos", "draws")
+    __slots__ = ("seed_seq", "generator")
 
     def __init__(self, seed: int | np.random.SeedSequence = 0) -> None:
         if isinstance(seed, np.random.SeedSequence):
@@ -43,125 +49,86 @@ class ForestRng:
         else:
             self.seed_seq = np.random.SeedSequence(seed)
         self.generator = np.random.Generator(np.random.Philox(self.seed_seq))
-        self._buf: list[float] = []
-        self._pos = 0
-        self.draws = 0
 
     def spawn(self, k: int) -> list["ForestRng"]:
         """k independent child streams, deterministic given call order."""
         return [ForestRng(child) for child in self.seed_seq.spawn(k)]
 
     def uniform(self) -> float:
-        if self._pos == len(self._buf):
-            self._refill()
-        x = self._buf[self._pos]
-        self._pos += 1
-        return x
-
-    def _refill(self) -> None:
-        self._buf = self.generator.random(_BLOCK).tolist()
-        self._pos = 0
-        self.draws += _BLOCK
+        return float(self.generator.random())
 
 
 def sample_forest(g: Digraph, rng: ForestRng) -> Forest:
     """Draw one uniform spanning converging forest."""
-    n = g.n
-    nxt = [-1] * n
-    in_tree = bytearray(n)
-    out = g._out
-    buf = rng._buf
-    pos = rng._pos
-    start_draws = rng.draws
-    cap = (n + 1) << 32
-
-    for start in range(n):
-        if in_tree[start]:
-            continue
-        u = start
-        while not in_tree[u]:
-            adj = out[u]
-            d = len(adj)
-            if pos == len(buf):
-                rng._refill()
-                buf = rng._buf
-                pos = 0
-                if rng.draws - start_draws > cap:
-                    raise RuntimeError(f"random walk failed to terminate within {cap} steps")
-            k = int(buf[pos] * (d + 1))
-            pos += 1
-            if k >= d:
-                nxt[u] = -1  # absorbed: u becomes a root
-                break
-            v = adj[k]
-            nxt[u] = v
-            u = v
-        u = start
-        while not in_tree[u]:
-            in_tree[u] = 1
-            w = nxt[u]
-            if w < 0:
-                break
-            u = w
-
-    rng._buf = buf
-    rng._pos = pos
-    if n <= _EAGER_ROOT_LIMIT:
-        return Forest(
-            np.array(nxt, dtype=np.int32),
-            root=np.array(_all_roots(nxt), dtype=np.int32),
-            dirty=False,
-        )
-    return Forest(np.array(nxt, dtype=np.int32))
+    return _sample(g, 1, rng)[0]
 
 
-def _all_roots(nxt: list[int]) -> list[int]:
-    n = len(nxt)
-    root = [-1] * n
-    for i in range(n):
-        u = i
-        path = []
-        while root[u] < 0:
-            w = nxt[u]
-            if w < 0:
-                root[u] = u
-                break
-            path.append(u)
-            u = w
-        r = root[u]
-        for p in path:
-            root[p] = r
-    return root
-
-
-def sample_forest_list(
-    g: Digraph, count: int, rng: ForestRng, workers: int = 1
-) -> ForestList:
-    """Draw ``count`` independent uniform forests as a multiplicity-1 list.
-
-    With ``workers > 1`` the batch is split into contiguous chunks, one
-    child stream each; results are identical for a given (seed, workers)
-    pair regardless of thread scheduling.
-    """
+def sample_forest_list(g: Digraph, count: int, rng: ForestRng) -> ForestList:
+    """Draw ``count`` independent uniform forests as a multiplicity-1 list."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, max(count, 1))
-    streams = rng.spawn(workers)
-    sizes = [count // workers + (1 if k < count % workers else 0) for k in range(workers)]
+    return ForestList(_sample(g, count, rng))
 
-    def run_chunk(args: tuple[int, ForestRng]) -> list[Forest]:
-        size, stream = args
-        return [sample_forest(g, stream) for _ in range(size)]
 
-    if workers == 1:
-        chunks = [run_chunk((count, streams[0]))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_chunk, zip(sizes, streams)))
-    out = ForestList()
-    for chunk in chunks:
-        for f in chunk:
-            out.append(f)
-    return out
+def _sample(g: Digraph, count: int, rng: ForestRng) -> list[Forest]:
+    n = g.n
+    out = g._out
+    deg = np.fromiter(map(len, out), dtype=np.int64, count=n)
+    m = int(deg.sum())
+    # Node v owns the candidate arrows start[v] .. start[v] + deg[v]: its
+    # out-neighbors, then -1 for "root here"; a uniform pick among them is
+    # one draw.
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg + 1, out=start[1:])
+    arrows = np.full(n + m, -1, dtype=np.int64)
+    arrows[np.arange(m) + np.repeat(np.arange(n), deg)] = np.fromiter(
+        chain.from_iterable(out), dtype=np.int64, count=m
+    )
+
+    def draw(v: np.ndarray) -> np.ndarray:
+        pick = (rng.generator.random(v.size) * (deg[v] + 1)).astype(np.int64)
+        return arrows[start[v] + pick]
+
+    per_chunk = max(1, _CHUNK // max(n, 1))
+    forests: list[Forest] = []
+    for first in range(0, count, per_chunk):
+        rows = min(per_chunk, count - first)
+        succ, root = _pop_cycles(rows, n, draw)
+        # Copies, so a forest dropped by prune frees its memory instead of
+        # pinning the whole chunk.
+        forests.extend(
+            Forest(s.copy(), root=r.copy(), dirty=False) for s, r in zip(succ, root)
+        )
+    return forests
+
+
+def _pop_cycles(rows: int, n: int, draw) -> tuple[np.ndarray, np.ndarray]:
+    """Successor and root matrices of ``rows`` forests over n nodes.
+
+    Works on flat slot indices ``row * n + v``; ``jump`` holds a flat index
+    per slot and roots point at themselves.
+    """
+    size = rows * n
+    node = np.tile(np.arange(n, dtype=np.int64), rows)
+    offset = np.repeat(np.arange(0, size, max(n, 1), dtype=np.int64), n)
+    succ = draw(node)
+    active = np.arange(size, dtype=np.int64)
+    jump = np.where(succ < 0, active, succ + offset)
+    passes = n.bit_length() + 1
+    for _ in range(_MAX_ROUNDS):
+        # After 2^passes > 2n steps every unsettled node sits on the cycle
+        # it runs into, and their jumps cover each such cycle exactly.
+        for _ in range(passes):
+            hop = jump[jump[active]]
+            jump[active] = hop
+            active = active[succ[hop] >= 0]
+            if not active.size:
+                return (
+                    succ.astype(np.int32).reshape(rows, n),
+                    (jump - offset).astype(np.int32).reshape(rows, n),
+                )
+        cycle = np.unique(jump[active])
+        succ[cycle] = draw(node[cycle])
+        nxt = succ[active]
+        jump[active] = np.where(nxt < 0, active, nxt + offset[active])
+    raise RuntimeError(f"cycle popping did not finish within {_MAX_ROUNDS} rounds")

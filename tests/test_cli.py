@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,17 @@ def chain_file(tmp_path):
 
 def run(args):
     return main(args)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    paths = [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = "import sys, forestq.cli; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 # ---- query ----

@@ -265,6 +265,22 @@ def test_apply_stream_unknown_kind():
         apply_stream(g, fl, [UpdateEvent("swap", (0, 1), 0)], PruneConfig(7), ForestRng(0))
 
 
+def test_apply_stream_raises_when_weight_falls_below_floor(monkeypatch):
+    from forestq import dynamic
+
+    def lossy_delete(g, forests, edge):
+        g.delete_edge(*edge)
+        forests.forests = forests.forests[:1]
+        forests.recompute_weight()
+
+    monkeypatch.setattr(dynamic, "delete_update", lossy_delete)
+    g = three_cycle()
+    fl = uniform_list(g)
+    events = [UpdateEvent("delete", (2, 0), 0)]
+    with pytest.raises(RuntimeError, match="event 0.*below 7"):
+        apply_stream(g, fl, events, PruneConfig(7), ForestRng(0))
+
+
 def test_parse_update_stream():
     text = "# churn\nI 0 2\n\nD 2 0\ni 1 0\n"
     events = parse_update_stream(io.StringIO(text))

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from forestq import Digraph, ForestRng, enumerate_forests, sample_forest, sample_forest_list
-from helpers import random_small_digraph, three_cycle, two_node
+from forestq import (
+    Digraph,
+    ForestRng,
+    enumerate_forests,
+    random_digraph,
+    sample_forest,
+    sample_forest_list,
+)
+from forestq import sampling
+from helpers import build_graph, random_small_digraph, three_cycle, two_node
 
 
 def test_sampled_forests_are_valid():
@@ -29,14 +37,6 @@ def test_different_seeds_differ():
     a = [f.as_tuple() for f in sample_forest_list(g, 200, ForestRng(1))]
     b = [f.as_tuple() for f in sample_forest_list(g, 200, ForestRng(2))]
     assert a != b
-
-
-def test_worker_split_is_deterministic():
-    g = three_cycle()
-    a = [f.as_tuple() for f in sample_forest_list(g, 101, ForestRng(5), workers=3)]
-    b = [f.as_tuple() for f in sample_forest_list(g, 101, ForestRng(5), workers=3)]
-    assert a == b
-    assert len(a) == 101
 
 
 def test_single_forest_stream_reproducible():
@@ -79,8 +79,6 @@ def test_count_zero_and_validation():
     assert len(sample_forest_list(g, 0, ForestRng(0))) == 0
     with pytest.raises(ValueError, match="count"):
         sample_forest_list(g, -1, ForestRng(0))
-    with pytest.raises(ValueError, match="workers"):
-        sample_forest_list(g, 5, ForestRng(0), workers=0)
 
 
 def test_sampling_does_not_mutate_graph():
@@ -101,7 +99,7 @@ def test_rng_uniform_and_spawn():
     assert len(vals) == 3  # distinct streams
 
 
-def test_large_graph_forest_is_lazy_but_valid():
+def test_large_graph_forest_root_cache_matches_rebuild():
     gen = np.random.default_rng(30)
     n = 500
     g = Digraph(n)
@@ -110,9 +108,62 @@ def test_large_graph_forest_is_lazy_but_valid():
         if u != v and not g.has_edge(u, v):
             g.insert_edge(u, v)
     f = sample_forest(g, ForestRng(30))
-    assert f.dirty  # large samples defer root computation
+    assert not f.dirty  # the sampler hands over the roots it found
+    handed = f._root.copy()
     r = f.resolve_root(0)
     assert f.successor[r] == -1
     f.rebuild_roots()
-    assert not f.dirty
-    assert f.resolve_root(0) == r
+    assert np.array_equal(f._root, handed)
+
+
+def test_same_seed_same_forests_across_chunks():
+    g = random_digraph(2000, 6000, np.random.default_rng(12))
+    count = 3 * (sampling._CHUNK // g.n) + 5  # four chunks, the last one partial
+    a = sample_forest_list(g, count, ForestRng(13))
+    b = sample_forest_list(g, count, ForestRng(13))
+    assert len(a) == count
+    for fa, fb in zip(a, b):
+        assert np.array_equal(fa.successor, fb.successor)
+        assert np.array_equal(fa._root, fb._root)
+    assert len({f.as_tuple() for f in a}) == count  # chunks do not repeat draws
+
+
+def test_out_degree_zero_nodes_are_always_roots():
+    g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 1), (4, 3), (0, 5)])
+    sinks = [u for u in range(g.n) if g.out_degree(u) == 0]
+    assert sinks == [5]
+    for f in sample_forest_list(g, 2000, ForestRng(14)):
+        assert f.successor[5] == -1
+        assert f.resolve_root(5) == 5
+
+
+def test_uniform_over_reciprocal_graph_forests():
+    # Every pair of K4 is reciprocal: only 125 of the 4^4 first draws are
+    # forests, so about half the rows pop cycles, some over several rounds
+    # (test_round_cap_raises shows one round is not enough).
+    g = build_graph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+    fs = enumerate_forests(g)
+    assert fs.size == 125
+    counts = dict.fromkeys(fs.forests, 0)
+    for f in sample_forest_list(g, 60000, ForestRng(15)):
+        counts[f.as_tuple()] += 1
+    assert stats.chisquare(list(counts.values())).pvalue >= 0.001
+
+
+def test_round_cap_raises(monkeypatch):
+    g = build_graph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+    monkeypatch.setattr(sampling, "_MAX_ROUNDS", 1)
+    with pytest.raises(RuntimeError, match="cycle popping"):
+        sample_forest_list(g, 1000, ForestRng(16))
+
+
+def test_root_caches_match_rebuild_on_random_digraphs():
+    gen = np.random.default_rng(17)
+    rng = ForestRng(17)
+    for _ in range(40):
+        g = random_small_digraph(gen, max_n=10)
+        for f in sample_forest_list(g, 30, rng):
+            assert not f.dirty
+            handed = f._root.copy()
+            f.rebuild_roots()
+            assert np.array_equal(f._root, handed)
