@@ -222,8 +222,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             else:
                 delete_update(g, forests, ev.edge)
             t1 = time.perf_counter()
-            if forests.total_weight > cfg.threshold:
-                prune(forests, cfg, rng)
+            prune(forests, cfg, rng)
             t2 = time.perf_counter()
             values = run_queries()
             t3 = time.perf_counter()
@@ -292,15 +291,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if edge is not None:
             t0 = time.perf_counter()
             insert_update(g, forests, edge)
-            if forests.total_weight > cfg.threshold:
-                prune(forests, cfg, rng)
+            prune(forests, cfg, rng)
             update_times.append(time.perf_counter() - t0)
         edge = _random_present_edge(g, pick)
         if edge is not None:
             t0 = time.perf_counter()
             delete_update(g, forests, edge)
-            if forests.total_weight > cfg.threshold:
-                prune(forests, cfg, rng)
+            prune(forests, cfg, rng)
             update_times.append(time.perf_counter() - t0)
     update_median = statistics.median(update_times) if update_times else float("nan")
 
@@ -400,10 +397,9 @@ def _graph_battery(g: Digraph, args: argparse.Namespace) -> list[tuple[str, bool
     rng = ForestRng(args.seed)
     probe = sample_forest_list(g, min(200, max(args.samples, 1)), rng)
     if args.inject_cycle and g.n >= 2:
-        bad = probe.forests[0]
-        bad.successor[0] = 1
-        bad.successor[1] = 0
-        bad.dirty = True
+        row = probe.order[0]
+        probe.succ[row, :2] = (1, 0)
+        probe.clean[row] = False
     errors: list[str] = []
     for f in probe:
         errors.extend(f.invariant_errors(g))

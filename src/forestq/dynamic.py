@@ -2,17 +2,19 @@
 
 Instead of resampling after each graph change, the list is transformed so
 that it remains an exact uniform multiset over the forests of the *new*
-graph:
+graph.  Each transform is a few column operations on the forest store:
 
-* edge insertion appends, for every forest where the tail is a root and the
-  head's tree is rooted elsewhere, a copy extended by the new edge;
-* edge deletion strips the edge from forests containing it, keeps forests
-  satisfying the same root condition at weight 1, and doubles the weight of
-  all others.
+* edge insertion selects the rows where the tail is a root and the head's
+  tree is rooted elsewhere, copies them into free slots with the new edge
+  set, and appends those slots to the list;
+* edge deletion clears the edge's column in the rows containing it, keeps
+  rows satisfying the same root condition at their weight, and doubles the
+  weight of all others.
 
 Weights are integer multiplicities, so the list only grows.  ``prune``
 subsamples it back to a configured cap (a uniform draw without replacement
-from the multiplicity-expanded multiset), which preserves uniformity.
+from the multiplicity-expanded multiset), which preserves uniformity and
+frees the slots of the rows it drops.
 """
 
 from __future__ import annotations
@@ -22,9 +24,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .forest import Forest, ForestList
+from .forest import ForestList
 from .graph import Digraph
 from .sampling import ForestRng
+
+
+# Largest total weight an update may leave: below it, one more insert
+# copying every row still fits the int64 multiplicities.
+MAX_WEIGHT = 2**62
 
 
 @dataclass(frozen=True)
@@ -55,21 +62,28 @@ class PruneConfig:
 def insert_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> int:
     """Insert ``edge`` into the graph and extend the forest list to match.
 
-    Returns the number of appended forests.  The graph is mutated first;
-    a rejected insertion (duplicate, self-loop) leaves the list untouched.
+    Returns the number of appended forests.  A rejected insertion
+    (duplicate, self-loop, or a total weight past ``MAX_WEIGHT``) leaves
+    the graph and the list untouched.
     """
     u, v = edge
     g.insert_edge(u, v)
-    spawned: list[Forest] = []
-    for f in forests.forests:
-        if f.successor[u] == -1 and f.resolve_root(v) != u:
-            child = Forest(f.successor.copy(), multiplicity=f.multiplicity)
-            child.successor[u] = v
-            spawned.append(child)
-    for child in spawned:
-        forests.append(child)
-    forests.epoch += 1
-    return len(spawned)
+    order = forests.order
+    src = order[forests.succ[order, u] == -1]
+    src = src[forests.roots(v, src) != u]
+    if forests.total_weight + int(forests.weight[src].sum()) > MAX_WEIGHT:
+        g.delete_edge(u, v)
+        raise OverflowError(f"insert ({u}, {v}) would push the list weight past 2**62")
+    dst = forests.claim(len(src))
+    succ = forests.succ
+    # Row by row: one fancy-index copy would build a temporary as large as
+    # every spawned row together.
+    for d, s in zip(dst.tolist(), src.tolist()):
+        succ[d] = succ[s]
+    succ[dst, u] = v
+    forests.weight[dst] = forests.weight[src]
+    forests.order = np.concatenate([order, dst])
+    return len(src)
 
 
 def delete_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> None:
@@ -77,23 +91,25 @@ def delete_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> Non
 
     Per unit of multiplicity: forests containing the edge lose it (weight
     kept), forests where the tail is a root and the head roots elsewhere
-    keep weight 1, and all remaining forests double.  The edge is removed
-    from the graph after the list transformation.
+    keep weight 1, and all remaining forests double.  Raises
+    OverflowError, touching nothing, if the new total would pass
+    ``MAX_WEIGHT``.
     """
     u, v = edge
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not found")
-    for f in forests.forests:
-        if f.successor[u] == v:
-            f.successor[u] = -1
-            f.dirty = True
-        elif f.successor[u] == -1 and f.resolve_root(v) != u:
-            pass
-        else:
-            f.multiplicity *= 2
-    g.delete_edge(u, v)
-    forests.recompute_weight()
-    forests.epoch += 1
+    order = forests.order
+    col = forests.succ[order, u]
+    strip = col == v
+    keep = col == -1
+    keep[keep] = forests.roots(v, order[keep]) != u
+    double = order[~(strip | keep)]
+    if forests.total_weight + int(forests.weight[double].sum()) > MAX_WEIGHT:
+        raise OverflowError(f"delete ({u}, {v}) would push the list weight past 2**62")
+    g.delete_edge(u, v)  # validates the node ids before the list changes
+    forests.succ[order[strip], u] = -1
+    forests.clean[order[strip]] = False
+    forests.weight[double] *= 2
 
 
 def prune(forests: ForestList, cfg: PruneConfig, rng: ForestRng) -> bool:
@@ -101,21 +117,15 @@ def prune(forests: ForestList, cfg: PruneConfig, rng: ForestRng) -> bool:
 
     Selection is uniform without replacement over the multiplicity-expanded
     multiset (multivariate hypergeometric over the distinct forests), so a
-    uniform list stays uniform.  Returns True if anything was pruned.
+    uniform list stays uniform.  Rows drawn zero times free their slots.
+    Returns True if anything was pruned.
     """
     limit = cfg.threshold
     if forests.total_weight <= limit:
         return False
-    counts = np.array([f.multiplicity for f in forests.forests], dtype=np.int64)
-    keep = rng.generator.multivariate_hypergeometric(counts, limit)
-    retained: list[Forest] = []
-    for f, k in zip(forests.forests, keep):
-        if k:
-            f.multiplicity = int(k)
-            retained.append(f)
-    forests.forests = retained
-    forests.total_weight = limit
-    forests.epoch += 1
+    keep = rng.generator.multivariate_hypergeometric(forests.weight[forests.order], limit)
+    forests.weight[forests.order] = keep
+    forests.order = forests.order[keep > 0]
     return True
 
 
@@ -150,8 +160,7 @@ def apply_stream(
             raise RuntimeError(
                 f"event {idx}: list weight {forests.total_weight} fell below {floor}"
             )
-        if forests.total_weight > cfg.threshold:
-            prune(forests, cfg, rng)
+        prune(forests, cfg, rng)
         applied += 1
     return applied
 

@@ -13,15 +13,18 @@ Both are unbiased.  ``required_samples`` gives the sample count at which
 the smoothed estimator meets an (epsilon, delta) accuracy target: absolute
 error for off-diagonal entries, relative error for diagonal ones.
 
-All accumulation is over integer hit counts weighted by forest
-multiplicities, so estimates are exact up to one final division no matter
-how large the list grows.
+Every estimate is a weighted sum of one per-forest score kernel, computed
+for all live rows of the forest store at once from the root of i in each
+row.  Hits are summed as integer multiplicities, so estimates are exact up
+to one final division no matter how large the list grows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .forest import ForestList
 from .graph import Digraph
@@ -69,33 +72,12 @@ def required_samples(
 
 def sfq_query(forests: ForestList, i: int, j: int) -> EntryEstimate:
     """Hit-frequency estimate of entry (i, j)."""
-    w = _check_query(forests, i, j)
-    hits = 0
-    for f in forests.forests:
-        if f.resolve_root(i) == j:
-            hits += f.multiplicity
-    return EntryEstimate(hits / w, w, "sfq")
+    return _estimate(None, forests, i, j, "sfq")
 
 
 def sfqplus_query(g: Digraph, forests: ForestList, i: int, j: int) -> EntryEstimate:
     """Smoothed estimate of entry (i, j); degrees come from the current graph."""
-    w = _check_query(forests, i, j)
-    if i == j:
-        d = g.out_degree(i)
-        hits = 0
-        for f in forests.forests:
-            if g.has_edge(f.resolve_root(i), i):
-                hits += f.multiplicity
-        value = (w + hits) / ((1 + d) * w)
-    else:
-        d = g.out_degree(j)
-        hits = 0
-        for f in forests.forests:
-            k = f.resolve_root(i)
-            if k == j or g.has_edge(k, j):
-                hits += f.multiplicity
-        value = hits / ((2 + d) * w)
-    return EntryEstimate(value, w, "sfqplus")
+    return _estimate(g, forests, i, j, "sfqplus")
 
 
 def forest_distance(
@@ -121,65 +103,57 @@ def forest_distance(
 
 
 def _check_query(forests: ForestList, i: int, j: int) -> int:
-    if not forests.forests:
+    if not len(forests):
         raise ValueError("forest list is empty")
-    n = forests.forests[0].n
+    n = forests.n
     for x in (i, j):
         if not 0 <= x < n:
             raise ValueError(f"node {x} out of range [0, {n})")
-    if forests.total_weight <= 0:
+    w = forests.total_weight
+    if w <= 0:
         raise ValueError("forest list has zero total weight")
-    return forests.total_weight
+    return w
 
 
-def _neighbor_average_query(
-    g: Digraph, forests: ForestList, i: int, j: int
+def _estimate(
+    g: Digraph | None, forests: ForestList, i: int, j: int, estimator: str
 ) -> EntryEstimate:
-    """In-neighbor average estimator for off-diagonal entries.
-
-    Sits between sfq and sfqplus in variance; kept internal as a reference
-    point for variance-ordering tests, not part of the public API.
-    """
-    if i == j:
-        raise ValueError("neighbor-average estimator is defined off the diagonal only")
+    """Weighted mean of the per-forest scores, summed as integers."""
     w = _check_query(forests, i, j)
-    d = g.out_degree(j)
-    hits = 0
-    for f in forests.forests:
-        if g.has_edge(f.resolve_root(i), j):
-            hits += f.multiplicity
-    return EntryEstimate(hits / ((1 + d) * w), w, "neighbor-average")
+    hit, base, denom = _scores(g, forests, i, j, estimator)
+    hits = int(forests.weight[forests.order[hit]].sum())
+    return EntryEstimate((base * w + hits) / (denom * w), w, estimator)
+
+
+def _scores(
+    g: Digraph | None, forests: ForestList, i: int, j: int, estimator: str
+) -> tuple[np.ndarray, int, int]:
+    """The score kernel: forest k scores ``(base + hit[k]) / denom``.
+
+    sfq hits where i roots at j.  Off the diagonal sfqplus also hits at the
+    in-neighbors of j, over 2 + d_j; on it, base 1 plus hits at the
+    in-neighbors of i, over 1 + d_i.  neighbor-average, a reference point
+    for variance tests, hits at the in-neighbors of j only, over 1 + d_j.
+    """
+    if estimator not in ("sfq", "sfqplus", "neighbor-average"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if estimator == "neighbor-average" and i == j:
+        raise ValueError("neighbor-average estimator is defined off the diagonal only")
+    root = forests.roots(i)
+    if estimator == "sfq":
+        return root == j, 0, 1
+    into = np.zeros(g.n, dtype=bool)
+    into[g.in_neighbors(j)] = True
+    if estimator == "neighbor-average":
+        return into[root], 0, 1 + g.out_degree(j)
+    if i == j:
+        return into[root], 1, 1 + g.out_degree(i)
+    return (root == j) | into[root], 0, 2 + g.out_degree(j)
 
 
 def _per_forest_values(
     g: Digraph, forests: ForestList, i: int, j: int, estimator: str
-) -> tuple[list[float], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-forest estimator values and multiplicities, for moment checks."""
-    values: list[float] = []
-    weights: list[int] = []
-    if estimator == "sfq":
-        for f in forests.forests:
-            values.append(1.0 if f.resolve_root(i) == j else 0.0)
-            weights.append(f.multiplicity)
-    elif estimator == "sfqplus" and i == j:
-        scale = 1.0 / (1 + g.out_degree(i))
-        for f in forests.forests:
-            hit = g.has_edge(f.resolve_root(i), i)
-            values.append(2.0 * scale if hit else scale)
-            weights.append(f.multiplicity)
-    elif estimator == "sfqplus":
-        scale = 1.0 / (2 + g.out_degree(j))
-        for f in forests.forests:
-            k = f.resolve_root(i)
-            values.append(scale if (k == j or g.has_edge(k, j)) else 0.0)
-            weights.append(f.multiplicity)
-    elif estimator == "neighbor-average":
-        if i == j:
-            raise ValueError("neighbor-average estimator is defined off the diagonal only")
-        scale = 1.0 / (1 + g.out_degree(j))
-        for f in forests.forests:
-            values.append(scale if g.has_edge(f.resolve_root(i), j) else 0.0)
-            weights.append(f.multiplicity)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return values, weights
+    hit, base, denom = _scores(g, forests, i, j, estimator)
+    return (base + hit) / denom, forests.weight[forests.order]

@@ -1,18 +1,24 @@
-"""Spanning converging forests and weighted forest collections.
+"""Spanning converging forests and the columnar forest store.
 
-A forest over n nodes is stored as a flat successor array: ``successor[i]``
-is the node i points to, or -1 if i is a root.  Every weakly connected
-component is a tree whose edges all point toward its root, so following
-successors from any node terminates at that node's root.
+A forest over n nodes is a successor array: ``successor[i]`` is the node i
+points to, or -1 if i is a root, so following successors from any node
+ends at the root of its tree.
 
-Root lookups are cached per node.  The sampler hands every forest over with
-a clean cache, found while it sampled.  Mutating a forest only sets a dirty
-flag; stale caches are repaired either on demand (one chain walk per query)
-or wholesale by :meth:`Forest.rebuild_roots`.
+:class:`ForestList` stores a weighted multiset of forests as columns: an
+int32 successor slab ``succ`` of shape (capacity, n), an int64 ``weight``
+per slot, and ``order``, the live slots in list order.  ``root`` holds the
+roots the sampler found for its rows, and ``clean[slot]`` says they still
+hold: an update that copies a row into the slot or edits it clears the
+flag.  Roots in the other rows come from one vectorised chain walk.  The
+slab sits on a private anonymous memory map, which grows in place; a page
+is resident only once a row on it is written.
+
+:class:`Forest` is a plain (successor, multiplicity) record.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -25,19 +31,11 @@ class ForestCycleError(RuntimeError):
 class Forest:
     """One spanning converging forest with an integer multiplicity."""
 
-    __slots__ = ("successor", "multiplicity", "dirty", "_root")
+    __slots__ = ("successor", "multiplicity")
 
-    def __init__(
-        self,
-        successor: np.ndarray,
-        multiplicity: int = 1,
-        root: np.ndarray | None = None,
-        dirty: bool = True,
-    ) -> None:
+    def __init__(self, successor: np.ndarray, multiplicity: int = 1) -> None:
         self.successor = np.asarray(successor, dtype=np.int32)
         self.multiplicity = multiplicity
-        self._root = root
-        self.dirty = dirty if root is not None else True
 
     @property
     def n(self) -> int:
@@ -49,58 +47,9 @@ class Forest:
     def is_root(self, u: int) -> bool:
         return self.successor[u] == -1
 
-    def resolve_root(self, i: int) -> int:
-        """Root of the tree containing i.
-
-        O(1) when the cache is clean; otherwise walks the successor chain
-        and refreshes cache entries along the way.
-        """
-        if not self.dirty:
-            return int(self._root[i])
-        succ = self.successor
-        limit = len(succ)
-        path = []
-        u = i
-        w = int(succ[u])
-        while w != -1:
-            path.append(u)
-            u = w
-            if len(path) > limit:
-                raise ForestCycleError(f"successor chain from node {i} does not terminate")
-            w = int(succ[u])
-        root = self._root
-        if root is None:
-            root = self._root = np.empty(limit, dtype=np.int32)
-        root[u] = u
-        for v in path:
-            root[v] = u
-        return u
-
-    def rebuild_roots(self) -> None:
-        """Recompute the whole root cache and clear the dirty flag."""
-        succ = self.successor
-        n = len(succ)
-        if n == 0:
-            self._root = np.empty(0, dtype=np.int32)
-            self.dirty = False
-            return
-        idx = np.arange(n, dtype=np.int32)
-        jump = np.where(succ == -1, idx, succ)
-        for _ in range(64):
-            step = jump[jump]
-            if np.array_equal(step, jump):
-                break
-            jump = step
-        else:
-            raise ForestCycleError("root pointers failed to converge: successor cycle present")
-        if not np.all(succ[jump] == -1):
-            raise ForestCycleError("successor chains contain a cycle")
-        self._root = jump
-        self.dirty = False
-
     def as_tuple(self) -> tuple[int, ...]:
         """Canonical encoding: the successor array as a tuple."""
-        return tuple(int(x) for x in self.successor)
+        return tuple(self.successor.tolist())
 
     def root_nodes(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.successor == -1)]
@@ -118,15 +67,9 @@ class Forest:
             if v != -1 and not graph.has_edge(u, v):
                 errors.append(f"successor edge ({u}, {v}) not in graph")
         try:
-            probe = Forest(self.successor.copy())
-            probe.rebuild_roots()
+            _walk(self.successor[None, :], np.zeros(self.n, np.intp), np.arange(self.n))
         except ForestCycleError as exc:
             errors.append(str(exc))
-            return errors
-        if not self.dirty:
-            for u in range(self.n):
-                if int(self._root[u]) != probe.resolve_root(u):
-                    errors.append(f"stale root cache at node {u} despite clean flag")
         return errors
 
     def debug_lines(self) -> Iterator[str]:
@@ -140,41 +83,112 @@ class Forest:
 
 
 class ForestList:
-    """Multiset of forests; multiplicities carry the weight.
+    """Multiset of forests in a columnar store; multiplicities carry the weight.
 
-    ``total_weight`` is the multiset cardinality and is kept in sync by the
-    update operations.  ``epoch`` increments on every mutation so callers
-    can detect unexpected interleaving.
+    ``total_weight`` is the multiset cardinality.  Iteration yields a
+    read-only :class:`Forest` view of each live row, in list order.
     """
 
-    __slots__ = ("forests", "total_weight", "epoch")
+    __slots__ = ("succ", "weight", "order", "root", "clean", "_map")
 
     def __init__(self, forests: Iterable[Forest] = ()) -> None:
-        self.forests = list(forests)
-        self.total_weight = sum(f.multiplicity for f in self.forests)
-        self.epoch = 0
+        rows = list(forests)
+        self._fill(len(rows), rows[0].n if rows else 0, sampled=False)
+        for k, f in enumerate(rows):
+            self.succ[k] = f.successor
+        self.weight[:] = [f.multiplicity for f in rows]
 
-    def append(self, forest: Forest) -> None:
-        self.forests.append(forest)
-        self.total_weight += forest.multiplicity
+    @classmethod
+    def _blank(cls, count: int, n: int) -> "ForestList":
+        """``count`` weight-1 rows whose successors and roots the sampler writes."""
+        fl = cls.__new__(cls)
+        fl._fill(count, n, sampled=True)
+        return fl
 
-    def recompute_weight(self) -> int:
-        self.total_weight = sum(f.multiplicity for f in self.forests)
-        return self.total_weight
+    def _fill(self, count: int, n: int, sampled: bool) -> None:
+        self._map = mmap.mmap(-1, max(count * n * 4, 1), flags=mmap.MAP_PRIVATE)
+        self.succ = np.frombuffer(self._map, np.int32, count * n).reshape(count, n)
+        self.weight = np.ones(count, dtype=np.int64)
+        self.order = np.arange(count)
+        self.root = np.empty((count if sampled else 0, n), dtype=np.int32)
+        self.clean = np.full(count, sampled)
+
+    @property
+    def n(self) -> int:
+        return self.succ.shape[1]
+
+    @property
+    def total_weight(self) -> int:
+        return int(self.weight[self.order].sum())
+
+    def roots(self, i: int, rows: np.ndarray | None = None) -> np.ndarray:
+        """Root of node i in each slot of ``rows`` (default: the live rows in order)."""
+        rows = self.order if rows is None else rows
+        out = np.empty(len(rows), dtype=np.intp)
+        clean = self.clean[rows]
+        out[clean] = self.root[rows[clean], i]
+        dirty = rows[~clean]
+        out[~clean] = _walk(self.succ, dirty, np.full(len(dirty), i))
+        return out
+
+    def claim(self, k: int) -> np.ndarray:
+        """k free slots, growing the slab when too few are left."""
+        if len(self.order) + k > len(self.weight):
+            self._grow(max(2 * len(self.weight), len(self.order) + k))
+        free = np.ones(len(self.weight), dtype=bool)
+        free[self.order] = False
+        slots = np.flatnonzero(free)[:k]
+        self.clean[slots] = False
+        return slots
+
+    def _grow(self, cap: int) -> None:
+        old, n = len(self.weight), self.n
+        self.succ, rows = None, old  # drop this list's own view, so the map can resize
+        try:
+            self._map.resize(max(cap * n * 4, 1))
+            rows = cap
+        except BufferError:
+            # Forest views from iteration still pin the map: copy the rows
+            # to a new one instead.
+            new = mmap.mmap(-1, max(cap * n * 4, 1), flags=mmap.MAP_PRIVATE)
+            np.frombuffer(new, np.int32, old * n)[:] = np.frombuffer(self._map, np.int32, old * n)
+            self._map, rows = new, cap
+        finally:
+            self.succ = np.frombuffer(self._map, np.int32, rows * n).reshape(rows, n)
+        self.weight = np.concatenate([self.weight, np.zeros(cap - old, dtype=np.int64)])
+        self.clean = np.concatenate([self.clean, np.zeros(cap - old, dtype=bool)])
 
     def weight_by_forest(self) -> dict[tuple[int, ...], int]:
         """Aggregate multiplicity per distinct successor tuple."""
         agg: dict[tuple[int, ...], int] = {}
-        for f in self.forests:
+        for f in self:
             key = f.as_tuple()
             agg[key] = agg.get(key, 0) + f.multiplicity
         return agg
 
     def __len__(self) -> int:
-        return len(self.forests)
+        return len(self.order)
 
     def __iter__(self) -> Iterator[Forest]:
-        return iter(self.forests)
+        rows = self.succ.view()
+        rows.flags.writeable = False
+        for s in self.order.tolist():
+            yield Forest(rows[s], int(self.weight[s]))
 
     def __repr__(self) -> str:
-        return f"ForestList(distinct={len(self.forests)}, weight={self.total_weight})"
+        return f"ForestList(distinct={len(self)}, weight={self.total_weight})"
+
+
+def _walk(succ: np.ndarray, rows: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """Root of node ``cur[k]`` in row ``rows[k]``; a chain past n nodes is a cycle."""
+    out = np.empty(len(rows), dtype=np.intp)
+    idx = np.arange(len(rows))
+    for _ in range(succ.shape[1] + 1):
+        if not len(idx):
+            return out
+        nxt = succ[rows, cur]
+        end = nxt < 0
+        out[idx[end]] = cur[end]
+        go = ~end
+        idx, rows, cur = idx[go], rows[go], nxt[go]
+    raise ForestCycleError("successor chains contain a cycle")

@@ -14,7 +14,8 @@ chunk, pointer doubling sends each node to its root or onto the cycle it
 runs into.  A node that reached a root is settled for good, since its path
 holds no cycle node; the nodes on cycles draw again and the rest wait for
 the next round.  The last doubling pass leaves every node at its root, so
-forests come back with a clean root cache.
+each chunk's successor and root rows are written straight into the forest
+store.
 
 Randomness comes from a counter-based generator (Philox), and the chunk
 size is a constant, so the output of :func:`sample_forest_list` depends
@@ -60,17 +61,22 @@ class ForestRng:
 
 def sample_forest(g: Digraph, rng: ForestRng) -> Forest:
     """Draw one uniform spanning converging forest."""
-    return _sample(g, 1, rng)[0]
+    succ = np.empty((1, g.n), dtype=np.int32)
+    _sample(g, rng, succ, np.empty_like(succ))
+    return Forest(succ[0])
 
 
 def sample_forest_list(g: Digraph, count: int, rng: ForestRng) -> ForestList:
     """Draw ``count`` independent uniform forests as a multiplicity-1 list."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    return ForestList(_sample(g, count, rng))
+    forests = ForestList._blank(count, g.n)
+    _sample(g, rng, forests.succ, forests.root)
+    return forests
 
 
-def _sample(g: Digraph, count: int, rng: ForestRng) -> list[Forest]:
+def _sample(g: Digraph, rng: ForestRng, succ: np.ndarray, root: np.ndarray) -> None:
+    """Fill the rows of ``succ`` with forests and ``root`` with their roots."""
     n = g.n
     out = g._out
     deg = np.fromiter(map(len, out), dtype=np.int64, count=n)
@@ -89,25 +95,20 @@ def _sample(g: Digraph, count: int, rng: ForestRng) -> list[Forest]:
         pick = (rng.generator.random(v.size) * (deg[v] + 1)).astype(np.int64)
         return arrows[start[v] + pick]
 
+    count = len(succ)
     per_chunk = max(1, _CHUNK // max(n, 1))
-    forests: list[Forest] = []
     for first in range(0, count, per_chunk):
-        rows = min(per_chunk, count - first)
-        succ, root = _pop_cycles(rows, n, draw)
-        # Copies, so a forest dropped by prune frees its memory instead of
-        # pinning the whole chunk.
-        forests.extend(
-            Forest(s.copy(), root=r.copy(), dirty=False) for s, r in zip(succ, root)
-        )
-    return forests
+        last = min(first + per_chunk, count)
+        _pop_cycles(draw, succ[first:last], root[first:last])
 
 
-def _pop_cycles(rows: int, n: int, draw) -> tuple[np.ndarray, np.ndarray]:
-    """Successor and root matrices of ``rows`` forests over n nodes.
+def _pop_cycles(draw, succ_out: np.ndarray, root_out: np.ndarray) -> None:
+    """Write forests into the rows of ``succ_out`` and their roots into ``root_out``.
 
     Works on flat slot indices ``row * n + v``; ``jump`` holds a flat index
     per slot and roots point at themselves.
     """
+    rows, n = succ_out.shape
     size = rows * n
     node = np.tile(np.arange(n, dtype=np.int64), rows)
     offset = np.repeat(np.arange(0, size, max(n, 1), dtype=np.int64), n)
@@ -123,10 +124,9 @@ def _pop_cycles(rows: int, n: int, draw) -> tuple[np.ndarray, np.ndarray]:
             jump[active] = hop
             active = active[succ[hop] >= 0]
             if not active.size:
-                return (
-                    succ.astype(np.int32).reshape(rows, n),
-                    (jump - offset).astype(np.int32).reshape(rows, n),
-                )
+                succ_out[...] = succ.reshape(rows, n)
+                root_out[...] = (jump - offset).reshape(rows, n)
+                return
         cycle = np.unique(jump[active])
         succ[cycle] = draw(node[cycle])
         nxt = succ[active]

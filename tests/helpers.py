@@ -29,6 +29,15 @@ def uniform_list(g: Digraph) -> ForestList:
     )
 
 
+def chain_root(row, i: int) -> int:
+    """Plain chain walk: the reference the store's roots are checked against."""
+    for _ in range(len(row) + 1):
+        if row[i] == -1:
+            return i
+        i = int(row[i])
+    raise AssertionError("successor chain does not terminate")
+
+
 def random_small_digraph(gen: np.random.Generator, max_n: int = 5, min_edges: int = 0) -> Digraph:
     n = int(gen.integers(1, max_n + 1))
     cap = n * (n - 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from forestq import (
+    Digraph,
     Forest,
     ForestList,
     ForestRng,
@@ -78,7 +79,7 @@ def test_insert_spawns_match_root_condition():
         spawned = insert_update(g, fl, (u, v))
         assert spawned == len(eligible)
         stripped = []
-        for child in fl.forests[before:]:
+        for child in list(fl)[before:]:
             assert child.contains_edge(u, v)
             base = list(child.successor)
             base[u] = -1
@@ -124,7 +125,6 @@ def test_insert_validation_leaves_state_untouched():
     with pytest.raises(ValueError, match="self-loop"):
         insert_update(g, fl, (1, 1))
     assert fl.total_weight == 7
-    assert fl.epoch == 0
     assert g.m == 3
 
 
@@ -133,18 +133,30 @@ def test_delete_validation_leaves_state_untouched():
     fl = uniform_list(g)
     with pytest.raises(ValueError, match="not found"):
         delete_update(g, fl, (1, 0))
+    with pytest.raises(ValueError, match="out of range"):
+        delete_update(g, fl, (-1, 0))  # Python indexing would read node 2
     assert fl.total_weight == 7
     assert set(fl.weight_by_forest().values()) == {1}
     assert g.m == 3
 
 
-def test_epoch_increments():
+def test_updates_refuse_weight_past_2_62():
+    # In 0 -> 1 -> 2 the head of (2, 0) roots at its tail, so deleting the
+    # edge doubles the forest.
     g = three_cycle()
-    fl = uniform_list(g)
-    insert_update(g, fl, (0, 2))
-    assert fl.epoch == 1
-    delete_update(g, fl, (0, 2))
-    assert fl.epoch == 2
+    fl = ForestList([Forest(np.array([1, 2, -1]), 2**62)])
+    with pytest.raises(OverflowError):
+        delete_update(g, fl, (2, 0))
+    assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 0)]
+    assert fl.weight_by_forest() == {(1, 2, -1): 2**62}
+
+    # With every node a root, inserting (2, 0) spawns a copy.
+    g = Digraph(3)
+    fl = ForestList([Forest(np.array([-1, -1, -1]), 2**62)])
+    with pytest.raises(OverflowError):
+        insert_update(g, fl, (2, 0))
+    assert g.m == 0 and len(fl) == 1
+    assert fl.weight_by_forest() == {(-1, -1, -1): 2**62}
 
 
 def test_weight_never_decreases_without_prune():
@@ -172,15 +184,11 @@ def test_prune_noop_at_or_below_threshold():
     assert fl.total_weight == cfg.threshold
     assert prune(fl, cfg, ForestRng(1)) is False
     assert fl.total_weight == 7
-    assert fl.epoch == 0
 
 
 def test_prune_cuts_to_threshold():
     g = three_cycle()
-    fl = uniform_list(g)
-    for f in fl.forests:
-        f.multiplicity = 10
-    fl.recompute_weight()
+    fl = ForestList(Forest(f.successor, 10) for f in uniform_list(g))
     before = {f.as_tuple(): f.multiplicity for f in fl}
     cfg = PruneConfig(base_count=7, factor=2.0)
     assert prune(fl, cfg, ForestRng(2)) is True
@@ -188,16 +196,12 @@ def test_prune_cuts_to_threshold():
     assert sum(f.multiplicity for f in fl) == 14
     for f in fl:
         assert 1 <= f.multiplicity <= before[f.as_tuple()]
-    assert fl.epoch == 1
 
 
 def test_prune_deterministic_with_seed():
     def run(seed):
         g = three_cycle()
-        fl = uniform_list(g)
-        for f in fl.forests:
-            f.multiplicity = 9
-        fl.recompute_weight()
+        fl = ForestList(Forest(f.successor, 9) for f in uniform_list(g))
         prune(fl, PruneConfig(7, 3.0), ForestRng(seed))
         return sorted(fl.weight_by_forest().items())
 
@@ -270,8 +274,7 @@ def test_apply_stream_raises_when_weight_falls_below_floor(monkeypatch):
 
     def lossy_delete(g, forests, edge):
         g.delete_edge(*edge)
-        forests.forests = forests.forests[:1]
-        forests.recompute_weight()
+        forests.order = forests.order[:1]
 
     monkeypatch.setattr(dynamic, "delete_update", lossy_delete)
     g = three_cycle()
@@ -311,10 +314,9 @@ def test_updated_forests_share_no_storage():
     fl = uniform_list(g)
     before = len(fl)
     insert_update(g, fl, (0, 2))
-    child = fl.forests[before]
-    parent_tuples = {f.as_tuple() for f in fl.forests[:before]}
-    child.successor[1] = -1  # mutate the child only
-    assert {f.as_tuple() for f in fl.forests[:before]} == parent_tuples
+    parent_tuples = [f.as_tuple() for f in fl][:before]
+    fl.succ[fl.order[before:], 1] = -1  # mutate the children only
+    assert [f.as_tuple() for f in fl][:before] == parent_tuples
 
 
 def test_long_stream_with_prunes_keeps_marginal_uniform():
@@ -357,7 +359,7 @@ def test_long_stream_with_prunes_keeps_marginal_uniform():
         apply_stream(g, fl, events, cfg, rng)
         pick = int(rng.generator.integers(fl.total_weight))
         acc = 0
-        for f in fl.forests:
+        for f in fl:
             acc += f.multiplicity
             if pick < acc:
                 counts[index[f.as_tuple()]] += 1

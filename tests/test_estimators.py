@@ -5,6 +5,8 @@ import pytest
 
 from forestq import (
     EstimatorParams,
+    Forest,
+    ForestList,
     ForestRng,
     exact_forest_matrix,
     forest_distance,
@@ -13,7 +15,7 @@ from forestq import (
     sfq_query,
     sfqplus_query,
 )
-from forestq.estimators import _neighbor_average_query, _per_forest_values
+from forestq.estimators import _per_forest_values
 from helpers import (
     build_graph,
     random_small_digraph,
@@ -47,9 +49,10 @@ def test_estimators_exact_on_uniform_lists():
                     omega[i, j], abs=1e-12
                 )
                 if i != j:
-                    assert _neighbor_average_query(g, fl, i, j).value == pytest.approx(
-                        omega[i, j], abs=1e-12
+                    mean, _ = weighted_mean_var(
+                        *_per_forest_values(g, fl, i, j, "neighbor-average")
                     )
+                    assert mean == pytest.approx(omega[i, j], abs=1e-12)
 
 
 def test_estimate_metadata():
@@ -63,15 +66,10 @@ def test_estimate_metadata():
 
 def test_multiplicities_equal_expanded_list():
     g = three_cycle()
-    fl = uniform_list(g)
-    fl.forests[0].multiplicity = 5
-    fl.recompute_weight()
-    expanded = uniform_list(g)
-    for _ in range(4):
-        import numpy as _np
-        from forestq import Forest
-
-        expanded.append(Forest(_np.array(fl.forests[0].successor)))
+    base = list(uniform_list(g))
+    fl = ForestList(Forest(f.successor, 5 if k == 0 else 1) for k, f in enumerate(base))
+    expanded = ForestList(base + [Forest(base[0].successor)] * 4)
+    assert fl.total_weight == expanded.total_weight == 11
     for i in range(3):
         for j in range(3):
             assert sfq_query(fl, i, j).value == pytest.approx(
@@ -103,16 +101,12 @@ def test_value_range_invariant():
 def test_query_validation():
     g = two_node()
     fl = uniform_list(g)
-    from forestq import ForestList
-
     with pytest.raises(ValueError, match="empty"):
         sfq_query(ForestList(), 0, 0)
     with pytest.raises(ValueError, match="out of range"):
         sfq_query(fl, 0, 2)
     with pytest.raises(ValueError, match="out of range"):
         sfqplus_query(g, fl, -1, 0)
-    with pytest.raises(ValueError, match="diagonal"):
-        _neighbor_average_query(g, fl, 1, 1)
 
 
 # ---- sample-size schedule ----

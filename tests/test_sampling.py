@@ -11,7 +11,7 @@ from forestq import (
     sample_forest_list,
 )
 from forestq import sampling
-from helpers import build_graph, random_small_digraph, three_cycle, two_node
+from helpers import build_graph, chain_root, random_small_digraph, three_cycle, two_node
 
 
 def test_sampled_forests_are_valid():
@@ -59,7 +59,7 @@ def test_uniform_over_three_cycle_forests():
 
 def test_root_marginal_two_node():
     g = two_node()
-    hits = sum(f.resolve_root(0) == 0 for f in sample_forest_list(g, 20000, ForestRng(4)))
+    hits = int((sample_forest_list(g, 20000, ForestRng(4)).roots(0) == 0).sum())
     assert hits / 20000 == pytest.approx(0.5, abs=0.02)
 
 
@@ -107,13 +107,11 @@ def test_large_graph_forest_root_cache_matches_rebuild():
         u, v = int(gen.integers(n)), int(gen.integers(n))
         if u != v and not g.has_edge(u, v):
             g.insert_edge(u, v)
-    f = sample_forest(g, ForestRng(30))
-    assert not f.dirty  # the sampler hands over the roots it found
-    handed = f._root.copy()
-    r = f.resolve_root(0)
-    assert f.successor[r] == -1
-    f.rebuild_roots()
-    assert np.array_equal(f._root, handed)
+    fl = sample_forest_list(g, 3, ForestRng(30))
+    assert fl.clean[fl.order].all()  # the sampler hands over the roots it found
+    for s in fl.order.tolist():
+        walked = [chain_root(fl.succ[s], i) for i in range(n)]
+        assert fl.root[s].tolist() == walked
 
 
 def test_same_seed_same_forests_across_chunks():
@@ -122,9 +120,8 @@ def test_same_seed_same_forests_across_chunks():
     a = sample_forest_list(g, count, ForestRng(13))
     b = sample_forest_list(g, count, ForestRng(13))
     assert len(a) == count
-    for fa, fb in zip(a, b):
-        assert np.array_equal(fa.successor, fb.successor)
-        assert np.array_equal(fa._root, fb._root)
+    assert np.array_equal(a.succ, b.succ)
+    assert np.array_equal(a.root, b.root)
     assert len({f.as_tuple() for f in a}) == count  # chunks do not repeat draws
 
 
@@ -132,9 +129,9 @@ def test_out_degree_zero_nodes_are_always_roots():
     g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 1), (4, 3), (0, 5)])
     sinks = [u for u in range(g.n) if g.out_degree(u) == 0]
     assert sinks == [5]
-    for f in sample_forest_list(g, 2000, ForestRng(14)):
-        assert f.successor[5] == -1
-        assert f.resolve_root(5) == 5
+    fl = sample_forest_list(g, 2000, ForestRng(14))
+    assert (fl.succ[fl.order, 5] == -1).all()
+    assert (fl.roots(5) == 5).all()
 
 
 def test_uniform_over_reciprocal_graph_forests():
@@ -162,8 +159,7 @@ def test_root_caches_match_rebuild_on_random_digraphs():
     rng = ForestRng(17)
     for _ in range(40):
         g = random_small_digraph(gen, max_n=10)
-        for f in sample_forest_list(g, 30, rng):
-            assert not f.dirty
-            handed = f._root.copy()
-            f.rebuild_roots()
-            assert np.array_equal(f._root, handed)
+        fl = sample_forest_list(g, 30, rng)
+        assert fl.clean[fl.order].all()
+        for s in fl.order.tolist():
+            assert fl.root[s].tolist() == [chain_root(fl.succ[s], i) for i in range(g.n)]
