@@ -63,16 +63,19 @@ def insert_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> int
     """Insert ``edge`` into the graph and extend the forest list to match.
 
     Returns the number of appended forests.  A rejected insertion
-    (duplicate, self-loop, or a total weight past ``MAX_WEIGHT``) leaves
-    the graph and the list untouched.
+    (duplicate, self-loop, a graph that changed behind the list, or a total
+    weight past ``MAX_WEIGHT``) leaves the graph's edges and the list
+    untouched.
     """
     u, v = edge
+    forests.check_version(g)
     g.insert_edge(u, v)
     order = forests.order
     src = order[forests.succ[order, u] == -1]
     src = src[forests.roots(v, src) != u]
     if forests.total_weight + int(forests.weight[src].sum()) > MAX_WEIGHT:
         g.delete_edge(u, v)
+        forests.version = g.version
         raise OverflowError(f"insert ({u}, {v}) would push the list weight past 2**62")
     dst = forests.claim(len(src))
     succ = forests.succ
@@ -83,6 +86,7 @@ def insert_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> int
     succ[dst, u] = v
     forests.weight[dst] = forests.weight[src]
     forests.order = np.concatenate([order, dst])
+    forests.version = g.version
     return len(src)
 
 
@@ -93,9 +97,10 @@ def delete_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> Non
     kept), forests where the tail is a root and the head roots elsewhere
     keep weight 1, and all remaining forests double.  Raises
     OverflowError, touching nothing, if the new total would pass
-    ``MAX_WEIGHT``.
+    ``MAX_WEIGHT``, and ValueError if the graph changed behind the list.
     """
     u, v = edge
+    forests.check_version(g)
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not found")
     order = forests.order
@@ -110,6 +115,7 @@ def delete_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> Non
     forests.succ[order[strip], u] = -1
     forests.clean[order[strip]] = False
     forests.weight[double] *= 2
+    forests.version = g.version
 
 
 def prune(forests: ForestList, cfg: PruneConfig, rng: ForestRng) -> bool:

@@ -76,7 +76,12 @@ def sfq_query(forests: ForestList, i: int, j: int) -> EntryEstimate:
 
 
 def sfqplus_query(g: Digraph, forests: ForestList, i: int, j: int) -> EntryEstimate:
-    """Smoothed estimate of entry (i, j); degrees come from the current graph."""
+    """Smoothed estimate of entry (i, j); degrees come from the current graph.
+
+    Raises ValueError if the graph changed since the list was sampled or
+    last updated.
+    """
+    forests.check_version(g)
     return _estimate(g, forests, i, j, "sfqplus")
 
 

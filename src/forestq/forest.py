@@ -11,7 +11,10 @@ roots the sampler found for its rows, and ``clean[slot]`` says they still
 hold: an update that copies a row into the slot or edits it clears the
 flag.  Roots in the other rows come from one vectorised chain walk.  The
 slab sits on a private anonymous memory map, which grows in place; a page
-is resident only once a row on it is written.
+is resident only once a row on it is written.  ``version`` is the graph
+version the list was sampled or last updated at (``None`` for a list built
+from forests); queries and updates against a graph at another version
+raise.
 
 :class:`Forest` is a plain (successor, multiplicity) record.
 """
@@ -89,7 +92,7 @@ class ForestList:
     read-only :class:`Forest` view of each live row, in list order.
     """
 
-    __slots__ = ("succ", "weight", "order", "root", "clean", "_map")
+    __slots__ = ("succ", "weight", "order", "root", "clean", "version", "_map")
 
     def __init__(self, forests: Iterable[Forest] = ()) -> None:
         rows = list(forests)
@@ -112,6 +115,7 @@ class ForestList:
         self.order = np.arange(count)
         self.root = np.empty((count if sampled else 0, n), dtype=np.int32)
         self.clean = np.full(count, sampled)
+        self.version: int | None = None
 
     @property
     def n(self) -> int:
@@ -120,6 +124,14 @@ class ForestList:
     @property
     def total_weight(self) -> int:
         return int(self.weight[self.order].sum())
+
+    def check_version(self, g) -> None:
+        """Raise ValueError if the list is stamped with a version other than ``g``'s."""
+        if self.version is not None and self.version != g.version:
+            raise ValueError(
+                f"forest list matches graph version {self.version}, but the graph is at "
+                f"version {g.version}: it changed without updating the list"
+            )
 
     def roots(self, i: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Root of node i in each slot of ``rows`` (default: the live rows in order)."""

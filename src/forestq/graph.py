@@ -1,131 +1,140 @@
-"""Mutable simple directed graphs with dual adjacency lists.
+"""Mutable simple directed graphs on nodes ``0..n-1``, on numpy arrays.
 
-Nodes are dense integers ``0..n-1`` fixed at construction time; edges can be
-inserted and deleted freely.  Both forward and reverse adjacency are kept so
-out- and in-neighborhoods are O(1) to enumerate.  Self-loops and parallel
-edges are rejected.
-"""
+Out- and in-adjacency are flat int32 arrays with a segment per node.  An insert appends into the
+slack, first moving the segment to the array's end with doubled capacity when full; a delete
+moves the last entry into the hole; both cost O(degree).  Neighbor arrays are read-only views.
+``Digraph.version`` counts successful mutations (a copy keeps its source's count)."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-# Out-degree above which edge membership switches from a list scan to a
-# per-node hash set.
-_SET_THRESHOLD = 8
+
+class _Adjacency:
+    """Node u's neighbors are ``nbr[start[u]:start[u] + degree[u]]``, with room for ``cap[u]``;
+    laid out from ``vals`` grouped by ``keys``, in order, without slack.  ``ro`` is a read-only
+    view of ``nbr``; the per-node arrays are memoryviews, whose items are Python ints."""
+
+    __slots__ = ("nbr", "ro", "start", "degree", "cap", "end")
+
+    def __init__(self, n: int, keys: np.ndarray, vals: np.ndarray) -> None:
+        degree = np.bincount(keys, minlength=n)
+        start = degree.cumsum() - degree
+        self.start, self.degree, self.cap = map(memoryview, (start, degree, degree.copy()))
+        self.end = len(vals)
+        # Relocation room past the last segment, whose spare slot keeps one-past reads in bounds.
+        nbr = np.empty(2 * self.end + 4 * n + 1, dtype=np.int32)
+        nbr[:self.end] = vals[keys.argsort(kind="stable")]
+        self._set(nbr)
+
+    def _set(self, nbr: np.ndarray) -> None:
+        self.nbr, self.ro = nbr, nbr.view()
+        self.ro.flags.writeable = False
+
+    def append(self, u: int, v: int) -> None:
+        s, d = self.start[u], self.degree[u]
+        if d == self.cap[u]:
+            cap, new = max(2 * d, 4), self.end
+            if new + cap >= len(self.nbr):
+                self._set(np.concatenate([self.nbr[:new], np.empty(new + cap + 1, np.int32)]))
+            self.nbr[new:new + d] = self.nbr[s:s + d]
+            s, self.start[u], self.cap[u], self.end = new, new, cap, new + cap
+        self.nbr[s + d] = v
+        self.degree[u] = d + 1
+
+    def remove(self, u: int, v: int) -> None:
+        s, d = self.start[u], self.degree[u] - 1
+        self.nbr[s + self.nbr[s:s + d + 1].tolist().index(v)] = self.nbr[s + d]
+        self.degree[u] = d
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(node, neighbor) for every entry, by node and then in segment order."""
+        degree, start = np.asarray(self.degree), np.asarray(self.start)
+        keys = np.repeat(np.arange(len(degree)), degree)
+        skip = np.repeat(start - (degree.cumsum() - degree), degree)
+        return keys, self.nbr[skip + np.arange(len(keys))]
 
 
 class Digraph:
-    """Simple directed graph on a fixed node set."""
+    """Simple directed graph on a fixed node set; self-loops and parallel edges are rejected."""
 
-    __slots__ = ("_n", "_m", "_out", "_in", "_out_sets")
+    __slots__ = ("_n", "_m", "version", "_out", "_in")
 
     def __init__(self, n: int) -> None:
         if n < 0:
             raise ValueError(f"node count must be >= 0, got {n}")
-        self._n = n
-        self._m = 0
-        self._out: list[list[int]] = [[] for _ in range(n)]
-        self._in: list[list[int]] = [[] for _ in range(n)]
-        # Materialized lazily once a node's out-degree exceeds _SET_THRESHOLD.
-        self._out_sets: list[set[int] | None] = [None] * n
+        self._n, self._m, self.version = n, 0, 0
+        self._out, self._in = (_Adjacency(n, *np.zeros((2, 0), np.int64)) for _ in range(2))
 
-    # ---- introspection ----
+    @classmethod
+    def _bulk(cls, n: int, tails: np.ndarray, heads: np.ndarray) -> "Digraph":
+        """The graph that inserting simple, distinct edges (tails[k], heads[k]) builds."""
+        g = cls(n)
+        g._m, g._out, g._in = len(tails), _Adjacency(n, tails, heads), _Adjacency(n, heads, tails)
+        return g
 
-    @property
-    def n(self) -> int:
-        """Number of nodes."""
-        return self._n
-
-    @property
-    def m(self) -> int:
-        """Number of directed edges."""
-        return self._m
+    n = property(lambda self: self._n, doc="Number of nodes.")
+    m = property(lambda self: self._m, doc="Number of directed edges.")
 
     def out_degree(self, u: int) -> int:
-        return len(self._out[u])
+        return self._out.degree[u]
 
     def in_degree(self, u: int) -> int:
-        return len(self._in[u])
+        return self._in.degree[u]
 
-    def out_neighbors(self, u: int) -> list[int]:
-        """Successors of u.  The returned list is live; do not mutate it."""
-        return self._out[u]
+    def out_neighbors(self, u: int) -> np.ndarray:
+        """Successors of u, a read-only view that later mutations may change."""
+        a = self._out
+        return a.ro[a.start[u]:a.start[u] + a.degree[u]]
 
-    def in_neighbors(self, u: int) -> list[int]:
-        """Predecessors of u.  The returned list is live; do not mutate it."""
-        return self._in[u]
+    def in_neighbors(self, u: int) -> np.ndarray:
+        """Predecessors of u, a read-only view that later mutations may change."""
+        a = self._in
+        return a.ro[a.start[u]:a.start[u] + a.degree[u]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        s = self._out_sets[u]
-        if s is not None:
-            return v in s
-        return v in self._out[u]
+        a = self._out
+        return v in a.nbr[a.start[u]:a.start[u] + a.degree[u]].tolist()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u, nbrs in enumerate(self._out):
-            for v in nbrs:
-                yield (u, v)
-
-    # ---- mutation ----
+        return zip(*(a.tolist() for a in self._out.pairs()))
 
     def insert_edge(self, u: int, v: int) -> None:
         """Add edge (u, v).  Raises ValueError on self-loops or duplicates."""
-        self._check_node(u)
-        self._check_node(v)
+        self._check_nodes(u, v)
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) exists")
-        out = self._out[u]
-        out.append(v)
-        self._in[v].append(u)
-        self._m += 1
-        s = self._out_sets[u]
-        if s is not None:
-            s.add(v)
-        elif len(out) > _SET_THRESHOLD:
-            self._out_sets[u] = set(out)
+        self._out.append(u, v)
+        self._in.append(v, u)
+        self._m, self.version = self._m + 1, self.version + 1
 
     def delete_edge(self, u: int, v: int) -> None:
         """Remove edge (u, v).  Raises ValueError if absent."""
-        self._check_node(u)
-        self._check_node(v)
+        self._check_nodes(u, v)
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not found")
-        _swap_remove(self._out[u], v)
-        _swap_remove(self._in[v], u)
-        self._m -= 1
-        s = self._out_sets[u]
-        if s is not None:
-            s.discard(v)
-
-    # ---- misc ----
+        self._out.remove(u, v)
+        self._in.remove(v, u)
+        self._m, self.version = self._m - 1, self.version + 1
 
     def copy(self) -> "Digraph":
-        g = Digraph(self._n)
-        g._m = self._m
-        g._out = [list(nbrs) for nbrs in self._out]
-        g._in = [list(nbrs) for nbrs in self._in]
-        g._out_sets = [set(s) if s is not None else None for s in self._out_sets]
+        """Same edges, neighbor order and version, in compacted arrays."""
+        g = Digraph._bulk(self._n, *self._out.pairs())
+        g._in, g.version = _Adjacency(self._n, *self._in.pairs()), self.version
         return g
 
-    def _check_node(self, u: int) -> None:
-        if not 0 <= u < self._n:
-            raise ValueError(f"node {u} out of range [0, {self._n})")
+    def _check_nodes(self, u: int, v: int) -> None:
+        if not (0 <= u < self._n and 0 <= v < self._n):
+            raise ValueError(f"node {v if 0 <= u < self._n else u} out of range [0, {self._n})")
 
     def __repr__(self) -> str:
         return f"Digraph(n={self._n}, m={self._m})"
-
-
-def _swap_remove(lst: list[int], value: int) -> None:
-    i = lst.index(value)
-    lst[i] = lst[-1]
-    lst.pop()
 
 
 @dataclass(frozen=True)
@@ -139,57 +148,55 @@ class LoadResult:
 
 
 def load_edge_list(source, mode: str = "directed") -> LoadResult:
-    """Parse a whitespace-separated edge list into a :class:`Digraph`.
+    """Parse a whitespace-separated edge list (a path or lines) into a :class:`Digraph`.
 
-    ``source`` is a path or an iterable of lines.  Lines starting with ``#``
-    or ``%`` and blank lines are skipped; extra columns after the first two
-    are ignored.  Node ids may be arbitrary integers and are remapped densely
-    to ``[0, n)`` in order of first appearance.  ``mode="undirected"`` inserts
-    both directions for every line.  Self-loops and repeated edges are
-    dropped and counted.
+    Lines starting with ``#`` or ``%`` and blank lines are skipped, as are columns after the
+    first two.  Node ids are int64, remapped to ``[0, n)`` in order of first appearance.
+    ``mode="undirected"`` inserts both directions.  Self-loops and repeats are dropped and counted.
     """
     if mode not in ("directed", "undirected"):
         raise ValueError(f"mode must be 'directed' or 'undirected', got {mode!r}")
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_edge_list(fh, mode)
+    lines = list(source)
+    try:
+        # numpy's parser reads plain "u v ..." lines (it warns on an all-blank input); comments
+        # and faulty lines go through the per-line parse, which names the line at fault.
+        ends = (np.loadtxt(lines, np.int64, comments=None, usecols=(0, 1)).ravel()
+                if any(map(str.split, lines)) else [])
+    except (ValueError, OverflowError):
+        ends = _parse_lines(lines)
+    # Dense ids in order of first appearance; self-loop lines claim ids too.
+    ids, first, inv = np.unique(np.asarray(ends, np.int64), return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    pairs = np.argsort(seen)[inv].reshape(-1, 2)
+    loop = pairs[:, 0] == pairs[:, 1]
+    pairs = pairs[~loop]
+    if mode == "undirected":
+        pairs = np.hstack([pairs, pairs[:, ::-1]]).reshape(-1, 2)
+    # Keep the first copy of every edge, in input order.
+    keep = np.sort(np.unique(pairs[:, 0] * len(ids) + pairs[:, 1], return_index=True)[1])
+    g = Digraph._bulk(len(ids), *pairs[keep].T)
+    return LoadResult(g, ids[seen].tolist(), len(pairs) - len(keep), int(loop.sum()))
 
-    remap: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    self_loops = 0
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
+
+def _parse_lines(lines: list[str]) -> list[int]:
+    """Endpoints u0, v0, u1, v1, ... of the edge lines; ValueError names a faulty line."""
+    ends: list[int] = []
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] in "#%":
             continue
-        fields = line.split()
-        if len(fields) < 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
             a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer endpoint in {line!r}") from None
-        for x in (a, b):
-            if x not in remap:
-                remap[x] = len(remap)
-        if a == b:
-            self_loops += 1
-            continue
-        u, v = remap[a], remap[b]
-        pairs.append((u, v))
-        if mode == "undirected":
-            pairs.append((v, u))
-
-    g = Digraph(len(remap))
-    duplicates = 0
-    for u, v in pairs:
-        if g.has_edge(u, v):
-            duplicates += 1
-        else:
-            g.insert_edge(u, v)
-    node_ids = [0] * len(remap)
-    for orig, dense in remap.items():
-        node_ids[dense] = orig
-    return LoadResult(g, node_ids, duplicates, self_loops)
+        except (IndexError, ValueError):
+            why = "expected 'u v', got" if len(fields) < 2 else "non-integer endpoint in"
+            raise ValueError(f"line {lineno}: {why} {raw.strip()!r}") from None
+        if not (-2**63 <= a < 2**63 and -2**63 <= b < 2**63):
+            raise ValueError(f"line {lineno}: endpoint outside int64 in {raw.strip()!r}")
+        ends += a, b
+    return ends
 
 
 def random_digraph(n: int, m: int, rng: np.random.Generator) -> Digraph:
@@ -197,19 +204,12 @@ def random_digraph(n: int, m: int, rng: np.random.Generator) -> Digraph:
     limit = n * (n - 1)
     if m > limit:
         raise ValueError(f"m={m} exceeds {limit} possible edges on {n} nodes")
-    g = Digraph(n)
-    if m == 0:
-        return g
     if m > limit // 2:
-        # Dense request: shuffle the full pair universe.
-        pool = [(u, v) for u in range(n) for v in range(n) if u != v]
-        idx = rng.permutation(limit)[:m]
-        for k in idx:
-            g.insert_edge(*pool[k])
-        return g
-    while g.m < m:
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u != v and not g.has_edge(u, v):
-            g.insert_edge(u, v)
-    return g
+        u, r = np.divmod(rng.permutation(limit)[:m], n - 1)  # dense: shuffle all pairs
+        return Digraph._bulk(n, u, r + (r >= u))
+    edges: dict[tuple[int, int], None] = {}  # an insertion-ordered set
+    while len(edges) < m:
+        e = (int(rng.integers(n)), int(rng.integers(n)))
+        if e[0] != e[1]:
+            edges[e] = None
+    return Digraph._bulk(n, *np.array(list(edges), dtype=np.int64).reshape(-1, 2).T)

@@ -136,7 +136,7 @@ def enumerate_forests(g: Digraph) -> ForestSet:
             return
         succ[i] = -1
         extend(i + 1)
-        for j in g.out_neighbors(i):
+        for j in g.out_neighbors(i).tolist():
             if not closes_cycle(i, j):
                 succ[i] = j
                 extend(i + 1)

@@ -24,8 +24,6 @@ only on (graph, count, seed).
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .forest import Forest, ForestList
@@ -72,28 +70,22 @@ def sample_forest_list(g: Digraph, count: int, rng: ForestRng) -> ForestList:
         raise ValueError(f"count must be >= 0, got {count}")
     forests = ForestList._blank(count, g.n)
     _sample(g, rng, forests.succ, forests.root)
+    forests.version = g.version
     return forests
 
 
 def _sample(g: Digraph, rng: ForestRng, succ: np.ndarray, root: np.ndarray) -> None:
     """Fill the rows of ``succ`` with forests and ``root`` with their roots."""
     n = g.n
-    out = g._out
-    deg = np.fromiter(map(len, out), dtype=np.int64, count=n)
-    m = int(deg.sum())
-    # Node v owns the candidate arrows start[v] .. start[v] + deg[v]: its
-    # out-neighbors, then -1 for "root here"; a uniform pick among them is
-    # one draw.
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg + 1, out=start[1:])
-    arrows = np.full(n + m, -1, dtype=np.int64)
-    arrows[np.arange(m) + np.repeat(np.arange(n), deg)] = np.fromiter(
-        chain.from_iterable(out), dtype=np.int64, count=m
-    )
+    nbr, start, deg = g._out.nbr, np.asarray(g._out.start), np.asarray(g._out.degree)
 
     def draw(v: np.ndarray) -> np.ndarray:
-        pick = (rng.generator.random(v.size) * (deg[v] + 1)).astype(np.int64)
-        return arrows[start[v] + pick]
+        # A uniform pick among v's out-neighbors and "root here" (pick ==
+        # deg[v]); the adjacency array's spare slot keeps the read at
+        # start[v] + deg[v] in bounds.
+        d = deg[v]
+        pick = (rng.generator.random(v.size) * (d + 1)).astype(np.int64)
+        return np.where(pick < d, nbr[start[v] + pick], -1)
 
     count = len(succ)
     per_chunk = max(1, _CHUNK // max(n, 1))
@@ -122,12 +114,20 @@ def _pop_cycles(draw, succ_out: np.ndarray, root_out: np.ndarray) -> None:
         for _ in range(passes):
             hop = jump[jump[active]]
             jump[active] = hop
-            active = active[succ[hop] >= 0]
+            before, active = active.size, active[succ[hop] >= 0]
             if not active.size:
                 succ_out[...] = succ.reshape(rows, n)
                 root_out[...] = (jump - offset).reshape(rows, n)
                 return
-        cycle = np.unique(jump[active])
+            if active.size == before:
+                # If jump permutes the image of the unsettled nodes, every
+                # node in it lies on a cycle and every unsettled node jumps
+                # onto one: the later passes would pop the same cycles.
+                cycle = np.unique(jump[active])
+                if np.array_equal(np.unique(jump[cycle]), cycle):
+                    break
+        else:
+            cycle = np.unique(jump[active])
         succ[cycle] = draw(node[cycle])
         nxt = succ[active]
         jump[active] = np.where(nxt < 0, active, nxt + offset[active])

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from forestq import Digraph, Forest, ForestList, enumerate_forests, random_digraph
+import os
+
+from forestq import Digraph, Forest, ForestList, LoadResult, enumerate_forests, random_digraph
 
 
 def build_graph(n: int, edges) -> Digraph:
@@ -53,3 +55,98 @@ def weighted_mean_var(values, weights) -> tuple[float, float]:
     mean = float((v * w).sum() / total)
     var = float((w * (v - mean) ** 2).sum() / total)
     return mean, var
+
+
+# ---- loop references for the vectorised graph builders ----
+
+def reference_load_edge_list(source, mode: str = "directed") -> LoadResult:
+    """Line-by-line edge-list loader, one has_edge/insert_edge per edge."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return reference_load_edge_list(fh, mode)
+    remap: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    self_loops = 0
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        fields = line.split()
+        if len(fields) < 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer endpoint in {line!r}") from None
+        for x in (a, b):
+            if x not in remap:
+                remap[x] = len(remap)
+        if a == b:
+            self_loops += 1
+            continue
+        u, v = remap[a], remap[b]
+        pairs.append((u, v))
+        if mode == "undirected":
+            pairs.append((v, u))
+    g = Digraph(len(remap))
+    duplicates = 0
+    for u, v in pairs:
+        if g.has_edge(u, v):
+            duplicates += 1
+        else:
+            g.insert_edge(u, v)
+    node_ids = [0] * len(remap)
+    for orig, dense in remap.items():
+        node_ids[dense] = orig
+    return LoadResult(g, node_ids, duplicates, self_loops)
+
+
+def reference_random_digraph(n: int, m: int, rng: np.random.Generator) -> Digraph:
+    """Per-edge random_digraph: the same rng calls, one insert_edge per edge."""
+    limit = n * (n - 1)
+    if m > limit:
+        raise ValueError(f"m={m} exceeds {limit} possible edges on {n} nodes")
+    g = Digraph(n)
+    if m == 0:
+        return g
+    if m > limit // 2:
+        pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for k in rng.permutation(limit)[:m]:
+            g.insert_edge(*pool[k])
+        return g
+    while g.m < m:
+        u = int(rng.integers(n))
+        v = int(rng.integers(n))
+        if u != v and not g.has_edge(u, v):
+            g.insert_edge(u, v)
+    return g
+
+
+def adjacency(g: Digraph) -> tuple[list[list[int]], list[list[int]]]:
+    """Every node's out- and in-neighbors, in the graph's order."""
+    return ([g.out_neighbors(u).tolist() for u in range(g.n)],
+            [g.in_neighbors(u).tolist() for u in range(g.n)])
+
+
+def pop_cycles_all_passes(draw, succ_out: np.ndarray, root_out: np.ndarray) -> None:
+    """Cycle popping that runs every doubling pass of every round."""
+    rows, n = succ_out.shape
+    size = rows * n
+    node = np.tile(np.arange(n, dtype=np.int64), rows)
+    offset = np.repeat(np.arange(0, size, max(n, 1), dtype=np.int64), n)
+    succ = draw(node)
+    active = np.arange(size, dtype=np.int64)
+    jump = np.where(succ < 0, active, succ + offset)
+    while True:
+        for _ in range(n.bit_length() + 1):
+            hop = jump[jump[active]]
+            jump[active] = hop
+            active = active[succ[hop] >= 0]
+            if not active.size:
+                succ_out[...] = succ.reshape(rows, n)
+                root_out[...] = (jump - offset).reshape(rows, n)
+                return
+        cycle = np.unique(jump[active])
+        succ[cycle] = draw(node[cycle])
+        nxt = succ[active]
+        jump[active] = np.where(nxt < 0, active, nxt + offset[active])

@@ -17,6 +17,7 @@ from forestq import (
     parse_update_stream,
     prune,
     sample_forest_list,
+    sfqplus_query,
 )
 from helpers import random_small_digraph, three_cycle, uniform_list
 
@@ -157,6 +158,37 @@ def test_updates_refuse_weight_past_2_62():
         insert_update(g, fl, (2, 0))
     assert g.m == 0 and len(fl) == 1
     assert fl.weight_by_forest() == {(-1, -1, -1): 2**62}
+    # The undo moved the graph's version on, and the list follows it.
+    assert fl.version == g.version == 2
+
+
+def test_graph_changed_behind_list_raises():
+    g = three_cycle()
+    fl = sample_forest_list(g, 40, ForestRng(5))
+    assert fl.version == g.version
+    insert_update(g, fl, (0, 2))
+    delete_update(g, fl, (1, 2))
+    assert fl.version == g.version
+    sfqplus_query(g, fl, 0, 1)
+
+    g.insert_edge(1, 2)  # behind the list's back
+    edges, weight, order = sorted(g.edges()), fl.weight.copy(), fl.order.copy()
+    for call in (lambda: insert_update(g, fl, (2, 1)), lambda: delete_update(g, fl, (0, 1)),
+                 lambda: sfqplus_query(g, fl, 0, 0)):
+        with pytest.raises(ValueError, match="version"):
+            call()
+        assert sorted(g.edges()) == edges
+        assert np.array_equal(fl.weight, weight) and np.array_equal(fl.order, order)
+
+
+def test_list_built_from_forests_is_unstamped():
+    g = three_cycle()
+    fl = uniform_list(g)
+    assert fl.version is None
+    g.insert_edge(0, 2)  # not checked: the list never saw a graph version
+    sfqplus_query(g, fl, 0, 1)
+    delete_update(g, fl, (0, 2))
+    assert fl.version == g.version
 
 
 def test_weight_never_decreases_without_prune():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from forestq import Digraph, load_edge_list, random_digraph
-from helpers import build_graph
+from helpers import adjacency, build_graph, reference_load_edge_list, reference_random_digraph
 
 
 def test_empty_graph():
@@ -47,12 +47,21 @@ def test_delete_edge():
         g.delete_edge(0, 1)
 
 
+def _swap_remove(lst: list[int], value: int) -> None:
+    i = lst.index(value)
+    lst[i] = lst[-1]
+    lst.pop()
+
+
 def test_membership_matches_set_model():
-    # Random insert/delete churn against a plain set of pairs.
+    # Random insert/delete churn against a plain set of pairs, and adjacency
+    # order against lists that append on insert and swap-remove on delete.
     gen = np.random.default_rng(1234)
     n = 12
     g = Digraph(n)
     model: set[tuple[int, int]] = set()
+    outs: list[list[int]] = [[] for _ in range(n)]
+    ins: list[list[int]] = [[] for _ in range(n)]
     for _ in range(3000):
         u = int(gen.integers(n))
         v = int(gen.integers(n))
@@ -61,11 +70,19 @@ def test_membership_matches_set_model():
         if (u, v) in model:
             g.delete_edge(u, v)
             model.remove((u, v))
+            _swap_remove(outs[u], v)
+            _swap_remove(ins[v], u)
         else:
             g.insert_edge(u, v)
             model.add((u, v))
+            outs[u].append(v)
+            ins[v].append(u)
         assert g.m == len(model)
+        assert g.out_neighbors(u).tolist() == outs[u]
+        assert g.in_neighbors(v).tolist() == ins[v]
     assert set(g.edges()) == model
+    assert adjacency(g) == (outs, ins)
+    assert list(g.edges()) == [(u, v) for u in range(n) for v in outs[u]]
     for u in range(n):
         for v in range(n):
             assert g.has_edge(u, v) == ((u, v) in model)
@@ -73,19 +90,33 @@ def test_membership_matches_set_model():
         assert g.in_degree(u) == sum(1 for e in model if e[1] == u)
 
 
-def test_membership_across_hash_set_threshold():
-    # One hub node pushed well past the list-scan threshold and back.
+def test_hub_segment_relocates_and_shrinks():
+    # A hub in a bulk-built graph (no slack) and one in an empty graph both
+    # outgrow their segments several times, interleaved with other nodes'
+    # inserts, then shrink back; copies taken after relocation stay apart.
     n = 40
-    g = Digraph(n)
-    for v in range(1, 31):
-        g.insert_edge(0, v)
-    assert all(g.has_edge(0, v) for v in range(1, 31))
-    assert not g.has_edge(0, 31)
-    for v in range(1, 28):
-        g.delete_edge(0, v)
-    assert g.out_degree(0) == 3
-    assert g.has_edge(0, 28) and g.has_edge(0, 29) and g.has_edge(0, 30)
-    assert not g.has_edge(0, 1)
+    chain = "".join(f"{k} {k + 1}\n" for k in range(n - 1))
+    for g in (load_edge_list(io.StringIO(chain)).graph, Digraph(n)):
+        assert g.n == n
+        base = g.m
+        for v in range(2, 31):
+            if not g.has_edge(0, v):
+                g.insert_edge(0, v)
+            if not g.has_edge(v, 0):
+                g.insert_edge(v, 0)
+        assert all(g.has_edge(0, v) and g.has_edge(v, 0) for v in range(2, 31))
+        assert not g.has_edge(0, 31)
+        h = g.copy()
+        assert adjacency(h) == adjacency(g) and list(h.edges()) == list(g.edges())
+        for v in range(2, 28):
+            g.delete_edge(0, v)
+        assert g.out_degree(0) == 3 + (base > 0)
+        assert g.has_edge(0, 28) and g.has_edge(0, 29) and g.has_edge(0, 30)
+        assert not g.has_edge(0, 2)
+        assert h.has_edge(0, 2) and h.out_degree(0) == g.out_degree(0) + 26
+        h.insert_edge(0, 31)
+        assert not g.has_edge(0, 31)
+        assert sorted(g.in_neighbors(0).tolist()) == list(range(2, 31))
 
 
 def test_copy_is_independent():
@@ -94,6 +125,37 @@ def test_copy_is_independent():
     h.insert_edge(1, 2)
     assert g.m == 1
     assert h.m == 2
+    h.delete_edge(0, 1)
+    assert g.has_edge(0, 1)
+
+
+def test_version_counts_successful_mutations():
+    g = Digraph(3)
+    assert g.version == 0
+    g.insert_edge(0, 1)
+    g.insert_edge(1, 2)
+    g.delete_edge(0, 1)
+    assert g.version == 3
+    for bad in (lambda: g.insert_edge(1, 2), lambda: g.insert_edge(1, 1),
+                lambda: g.delete_edge(0, 1), lambda: g.insert_edge(0, 3)):
+        with pytest.raises(ValueError):
+            bad()
+    assert g.version == 3
+    h = g.copy()
+    assert h.version == 3
+    h.insert_edge(2, 0)
+    assert (g.version, h.version) == (3, 4)
+
+
+def test_neighbor_views_are_read_only_and_int_results():
+    g = build_graph(3, [(0, 1), (0, 2), (2, 0)])
+    for view in (g.out_neighbors(0), g.in_neighbors(0)):
+        with pytest.raises(ValueError):
+            view[0] = 1
+    assert g.out_neighbors(0).tolist() == [1, 2]
+    # Counts are Python ints, so products with huge weights cannot wrap.
+    for x in (g.n, g.m, g.out_degree(0), g.in_degree(0), *next(iter(g.edges()))):
+        assert type(x) is int
 
 
 # ---- edge-list parsing ----
@@ -155,6 +217,57 @@ def test_load_malformed_lines():
         load_edge_list(io.StringIO("a b\n"))
     with pytest.raises(ValueError, match="mode"):
         load_edge_list(io.StringIO(""), mode="both")
+    cases = [
+        ("0 1\n# c\n\n5\n", "line 4: expected 'u v'"),
+        ("0 1\n2 x 3\n", "line 2: non-integer"),
+        ("0 1\n1 2#3\n", "line 2: non-integer"),
+        ("0 1\n1.5 2\n", "line 2: non-integer"),
+        (f"0 1\n\n% c\n1 {2**63}\n", "line 4: endpoint outside int64"),
+        (f"{-2**63 - 1} 0\n", "line 1: endpoint outside int64"),
+    ]
+    for text, msg in cases:
+        for source in (io.StringIO(text), text.splitlines(keepends=True)):
+            with pytest.raises(ValueError, match=msg):
+                load_edge_list(source)
+    extremes = load_edge_list([f"{-2**63} {2**63 - 1}\n"])
+    assert extremes.node_ids == [-2**63, 2**63 - 1]
+
+
+def _random_edge_text(gen: np.random.Generator) -> str:
+    """Edge-list text with comments, blanks, extra columns, loops and repeats."""
+    ids = gen.choice([-7, 0, 1, 3, 10, 42, 10**6, -10**12, 2**40, 99], size=int(gen.integers(1, 11)),
+                     replace=False).tolist()
+    lines = []
+    for _ in range(int(gen.integers(0, 30))):
+        kind = gen.random()
+        if kind < 0.08:
+            lines.append(str(gen.choice(["# note", "% header 1 2", "   # indented", "#"])))
+        elif kind < 0.14:
+            lines.append(str(gen.choice(["", "   ", "\t"])))
+        else:
+            a, b = (ids[int(k)] for k in gen.integers(len(ids), size=2))
+            extra = " ".join(str(x) for x in gen.integers(-5, 5, size=int(gen.integers(0, 3))))
+            sep = str(gen.choice([" ", "\t", "  "]))
+            lines.append(f"{a}{sep}{b} {extra}".rstrip() if gen.random() < 0.9 else f" {a} {b} x")
+    return "\n".join(lines) + ("\n" if gen.random() < 0.5 else "")
+
+
+def test_load_matches_reference_loop(tmp_path):
+    gen = np.random.default_rng(2024)
+    path = tmp_path / "g.txt"
+    for trial in range(300):
+        text = _random_edge_text(gen)
+        mode = ("directed", "undirected")[trial % 2]
+        path.write_text(text)
+        ref = reference_load_edge_list(io.StringIO(text), mode)
+        for source in (path, str(path), io.StringIO(text), text.splitlines(keepends=True)):
+            res = load_edge_list(source, mode)
+            assert res.node_ids == ref.node_ids, text
+            assert (res.graph.n, res.graph.m) == (ref.graph.n, ref.graph.m)
+            assert res.duplicates_dropped == ref.duplicates_dropped
+            assert res.self_loops_dropped == ref.self_loops_dropped
+            assert adjacency(res.graph) == adjacency(ref.graph)
+            assert list(res.graph.edges()) == list(ref.graph.edges())
 
 
 def test_load_from_path(tmp_path):
@@ -180,3 +293,14 @@ def test_random_digraph_dense_and_limits():
     with pytest.raises(ValueError):
         random_digraph(3, 7, gen)
     assert random_digraph(3, 0, gen).m == 0
+
+
+def test_random_digraph_matches_per_edge_reference():
+    # Same rng calls, same graph: edges, adjacency order and the rng state after.
+    for seed, (n, m) in enumerate([(0, 0), (1, 0), (2, 1), (2, 2), (5, 11), (6, 10), (7, 40),
+                                   (30, 200), (2000, 6000)]):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        g, ref = random_digraph(n, m, a), reference_random_digraph(n, m, b)
+        assert list(g.edges()) == list(ref.edges())
+        assert adjacency(g) == adjacency(ref)
+        assert a.integers(2**62) == b.integers(2**62)

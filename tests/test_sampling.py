@@ -11,7 +11,14 @@ from forestq import (
     sample_forest_list,
 )
 from forestq import sampling
-from helpers import build_graph, chain_root, random_small_digraph, three_cycle, two_node
+from helpers import (
+    build_graph,
+    chain_root,
+    pop_cycles_all_passes,
+    random_small_digraph,
+    three_cycle,
+    two_node,
+)
 
 
 def test_sampled_forests_are_valid():
@@ -163,3 +170,46 @@ def test_root_caches_match_rebuild_on_random_digraphs():
         assert fl.clean[fl.order].all()
         for s in fl.order.tolist():
             assert fl.root[s].tolist() == [chain_root(fl.succ[s], i) for i in range(g.n)]
+
+
+def test_early_round_end_pops_what_all_passes_pop(monkeypatch):
+    # On reciprocal graphs most of a round's passes see an unchanged
+    # unsettled set; ending the round there must pop the same cycles with
+    # the same draws as running every pass.
+    gen = np.random.default_rng(18)
+    graphs = [random_digraph(2000, 6000, gen)]
+    for n in (3, 12, 60, 800):
+        pairs = {(min(u, v), max(u, v)) for u, v in gen.integers(n, size=(3 * n, 2)).tolist() if u != v}
+        graphs.append(build_graph(n, [e for u, v in pairs for e in ((u, v), (v, u))]))
+    runs = []
+    for pop in (sampling._pop_cycles, pop_cycles_all_passes):
+        monkeypatch.setattr(sampling, "_pop_cycles", pop)
+        runs.append([sample_forest_list(g, 40, ForestRng(19)) for g in graphs])
+    for early, full in zip(*runs):
+        assert np.array_equal(early.succ, full.succ)
+        assert np.array_equal(early.root, full.root)
+
+
+def test_early_round_end_pops_only_cycle_nodes():
+    # The path 0 -> 1 -> ... -> 63 ends in the 2-cycle 62 <-> 63 and reaches
+    # no root, so the unsettled set keeps its size for several passes before
+    # the jumps land on the cycle; only the cycle may be drawn again.
+    n = 64
+    first = np.append(np.arange(1, n), n - 2)
+
+    def run(pop):
+        asked = []
+
+        def draw(v):
+            asked.append(v.tolist())
+            return first[v] if len(asked) == 1 else np.full(v.size, -1)
+
+        succ, root = np.empty((1, n), np.int32), np.empty((1, n), np.int32)
+        pop(draw, succ, root)
+        return asked[1:], succ, root
+
+    (asked, succ, root), (asked_all, succ_all, root_all) = (
+        run(sampling._pop_cycles), run(pop_cycles_all_passes))
+    assert asked == asked_all == [[n - 2, n - 1]]
+    assert np.array_equal(succ, succ_all) and np.array_equal(root, root_all)
+    assert root[0].tolist() == [n - 2] * (n - 1) + [n - 1]
