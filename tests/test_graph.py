@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -127,6 +129,19 @@ def test_copy_is_independent():
     assert h.m == 2
     h.delete_edge(0, 1)
     assert g.has_edge(0, 1)
+
+
+def test_pickle_and_deepcopy_keep_order_and_version():
+    g = build_graph(6, [(0, v) for v in range(1, 6)] + [(3, 0), (4, 0)])
+    g.delete_edge(0, 2)
+    g.insert_edge(2, 0)
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert (h.n, h.m, h.version) == (g.n, g.m, g.version)
+        assert adjacency(h) == adjacency(g) and list(h.edges()) == list(g.edges())
+        h.insert_edge(0, 2)
+        h.delete_edge(3, 0)
+        assert not g.has_edge(0, 2) and g.has_edge(3, 0)
+        assert h.out_neighbors(0).tolist() == [1, 5, 3, 4, 2]
 
 
 def test_version_counts_successful_mutations():
