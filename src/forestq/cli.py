@@ -397,9 +397,8 @@ def _graph_battery(g: Digraph, args: argparse.Namespace) -> list[tuple[str, bool
     rng = ForestRng(args.seed)
     probe = sample_forest_list(g, min(200, max(args.samples, 1)), rng)
     if args.inject_cycle and g.n >= 2:
-        row = probe.order[0]
-        probe.succ[row, :2] = (1, 0)
-        probe.clean[row] = False
+        probe.write(probe.order[:1], 0, 1)
+        probe.write(probe.order[:1], 1, 0)
     errors: list[str] = []
     for f in probe:
         errors.extend(f.invariant_errors(g))

@@ -5,16 +5,16 @@ that it remains an exact uniform multiset over the forests of the *new*
 graph.  Each transform is a few column operations on the forest store:
 
 * edge insertion selects the rows where the tail is a root and the head's
-  tree is rooted elsewhere, copies them into free slots with the new edge
-  set, and appends those slots to the list;
-* edge deletion clears the edge's column in the rows containing it, keeps
+  tree is rooted elsewhere, copies them into free slots (sharing their
+  parents' pages), writes the new edge, and appends those slots to the list;
+* edge deletion clears the edge's entry in the rows containing it, keeps
   rows satisfying the same root condition at their weight, and doubles the
   weight of all others.
 
 Weights are integer multiplicities, so the list only grows.  ``prune``
 subsamples it back to a configured cap (a uniform draw without replacement
 from the multiplicity-expanded multiset), which preserves uniformity and
-frees the slots of the rows it drops.
+frees the slots and page references of the rows it drops.
 """
 
 from __future__ import annotations
@@ -63,28 +63,28 @@ def insert_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> int
     """Insert ``edge`` into the graph and extend the forest list to match.
 
     Returns the number of appended forests.  A rejected insertion
-    (duplicate, self-loop, a graph that changed behind the list, or a total
-    weight past ``MAX_WEIGHT``) leaves the graph's edges and the list
-    untouched.
+    (duplicate, self-loop, a graph that changed behind the list, a corrupt
+    row, or a total weight past ``MAX_WEIGHT``) leaves the graph's edges and
+    the list untouched.
     """
     u, v = edge
     forests.check_version(g)
-    g.insert_edge(u, v)
+    if g.has_edge(u, v):  # also rejects node ids out of range before any read
+        raise ValueError(f"edge ({u}, {v}) exists")
     order = forests.order
-    src = order[forests.succ[order, u] == -1]
+    src = order[forests.column(order, u) == -1]
     src = src[forests.roots(v, src) != u]
-    if forests.total_weight + int(forests.weight[src].sum()) > MAX_WEIGHT:
+    g.insert_edge(u, v)
+    try:
+        if forests.total_weight + int(forests.weight[src].sum()) > MAX_WEIGHT:
+            raise OverflowError(f"insert ({u}, {v}) would push the list weight "
+                                "past 2**62")
+        dst = forests.copy_rows(src)
+        forests.write(dst, u, v)
+    except BaseException:
         g.delete_edge(u, v)
         forests.version = g.version
-        raise OverflowError(f"insert ({u}, {v}) would push the list weight past 2**62")
-    dst = forests.claim(len(src))
-    succ = forests.succ
-    # Row by row: one fancy-index copy would build a temporary as large as
-    # every spawned row together.
-    for d, s in zip(dst.tolist(), src.tolist()):
-        succ[d] = succ[s]
-    succ[dst, u] = v
-    forests.weight[dst] = forests.weight[src]
+        raise
     forests.order = np.concatenate([order, dst])
     forests.version = g.version
     return len(src)
@@ -104,16 +104,15 @@ def delete_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> Non
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not found")
     order = forests.order
-    col = forests.succ[order, u]
+    col = forests.column(order, u)
     strip = col == v
     keep = col == -1
     keep[keep] = forests.roots(v, order[keep]) != u
     double = order[~(strip | keep)]
     if forests.total_weight + int(forests.weight[double].sum()) > MAX_WEIGHT:
         raise OverflowError(f"delete ({u}, {v}) would push the list weight past 2**62")
-    g.delete_edge(u, v)  # validates the node ids before the list changes
-    forests.succ[order[strip], u] = -1
-    forests.clean[order[strip]] = False
+    g.delete_edge(u, v)
+    forests.write(order[strip], u, -1)
     forests.weight[double] *= 2
     forests.version = g.version
 
@@ -131,6 +130,7 @@ def prune(forests: ForestList, cfg: PruneConfig, rng: ForestRng) -> bool:
         return False
     keep = rng.generator.multivariate_hypergeometric(forests.weight[forests.order], limit)
     forests.weight[forests.order] = keep
+    forests.release(forests.order[keep == 0])
     forests.order = forests.order[keep > 0]
     return True
 

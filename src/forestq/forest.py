@@ -1,27 +1,29 @@
-"""Spanning converging forests and the columnar forest store.
+"""Spanning converging forests and the paged, copy-on-write forest store.
 
 A forest over n nodes is a successor array: ``successor[i]`` is the node i
 points to, or -1 if i is a root, so following successors from any node
 ends at the root of its tree.
 
 :class:`ForestList` stores a weighted multiset of forests as columns: an
-int32 successor slab ``succ`` of shape (capacity, n), an int64 ``weight``
-per slot, and ``order``, the live slots in list order.  ``root`` holds the
-roots the sampler found for its rows, and ``clean[slot]`` says they still
-hold: an update that copies a row into the slot or edits it clears the
-flag.  Roots in the other rows come from one vectorised chain walk.  The
-slab sits on a private anonymous memory map, which grows in place; a page
-is resident only once a row on it is written.  ``version`` is the graph
-version the list was sampled or last updated at (``None`` for a list built
-from forests); queries and updates against a graph at another version
-raise.
+int64 ``weight`` per slot and ``order``, the live slots in list order.
+Successors sit in pages of W = 2^shift nodes, W the smallest power of two
+>= n but at most 1024: ``pages`` is int32 of shape (P, W), ``table[slot]``
+names the ceil(n/W) pages of a slot, so entry (slot, u) is
+``pages[table[slot, u >> shift], u & (W - 1)]``, and ``ref`` counts the
+live slots naming each page.  An insert's copies share their parents'
+pages; a write copies a page to a free one (``ref == 0``) unless every slot
+naming it takes the same write.  The arrays grow by doubling.  ``root``
+holds the roots the sampler found for a slot while ``clean[slot]`` is set;
+a write or a copy into the slot clears it, and the other rows' roots come
+from one vectorised chain walk.  ``version`` is the graph version the list
+was sampled or last updated at (``None`` for a list built from forests);
+queries and updates against a graph at another version raise.
 
 :class:`Forest` is a plain (successor, multiplicity) record.
 """
 
 from __future__ import annotations
 
-import mmap
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -67,10 +69,10 @@ class Forest:
             errors.append(f"multiplicity {self.multiplicity} < 1")
         for u in range(self.n):
             v = int(self.successor[u])
-            if v != -1 and not graph.has_edge(u, v):
+            if v != -1 and not (0 <= v < self.n and graph.has_edge(u, v)):
                 errors.append(f"successor edge ({u}, {v}) not in graph")
         try:
-            _walk(self.successor[None, :], np.zeros(self.n, np.intp), np.arange(self.n))
+            _walk(ForestList([self]), np.zeros(self.n, np.intp), np.arange(self.n))
         except ForestCycleError as exc:
             errors.append(str(exc))
         return errors
@@ -86,40 +88,42 @@ class Forest:
 
 
 class ForestList:
-    """Multiset of forests in a columnar store; multiplicities carry the weight.
+    """Multiset of forests in a paged columnar store; multiplicities carry the weight.
 
     ``total_weight`` is the multiset cardinality.  Iteration yields a
-    read-only :class:`Forest` view of each live row, in list order.
+    :class:`Forest` holding a read-only copy of each live row, in list order.
     """
 
-    __slots__ = ("succ", "weight", "order", "root", "clean", "version", "_map")
+    __slots__ = ("n", "shift", "pages", "table", "ref", "weight", "order", "root",
+                 "clean", "version")
 
     def __init__(self, forests: Iterable[Forest] = ()) -> None:
         rows = list(forests)
-        self._fill(len(rows), rows[0].n if rows else 0, sampled=False)
-        for k, f in enumerate(rows):
-            self.succ[k] = f.successor
+        succ = self._fill(len(rows), rows[0].n if rows else 0, sampled=False)
+        succ[:] = [f.successor for f in rows]
         self.weight[:] = [f.multiplicity for f in rows]
 
     @classmethod
-    def _blank(cls, count: int, n: int) -> "ForestList":
-        """``count`` weight-1 rows whose successors and roots the sampler writes."""
+    def _blank(cls, count: int, n: int) -> tuple["ForestList", np.ndarray]:
+        """Weight-1 rows for the sampler, and a (count, n) view of their pages."""
         fl = cls.__new__(cls)
-        fl._fill(count, n, sampled=True)
-        return fl
+        return fl, fl._fill(count, n, sampled=True)
 
-    def _fill(self, count: int, n: int, sampled: bool) -> None:
-        self._map = mmap.mmap(-1, max(count * n * 4, 1), flags=mmap.MAP_PRIVATE)
-        self.succ = np.frombuffer(self._map, np.int32, count * n).reshape(count, n)
+    def _fill(self, count: int, n: int, sampled: bool) -> np.ndarray:
+        """Give ``count`` slots fresh contiguous pages, returned as a (count, n) view."""
+        self.n = n
+        self.shift = min(10, max(n - 1, 0).bit_length())
+        width = 1 << self.shift
+        per = -(-n // width)
+        self.pages = np.empty((count * per, width), dtype=np.int32)
+        self.table = np.arange(count * per).reshape(count, per)
+        self.ref = np.ones(count * per, dtype=np.int64)
         self.weight = np.ones(count, dtype=np.int64)
         self.order = np.arange(count)
         self.root = np.empty((count if sampled else 0, n), dtype=np.int32)
         self.clean = np.full(count, sampled)
         self.version: int | None = None
-
-    @property
-    def n(self) -> int:
-        return self.succ.shape[1]
+        return self.pages.reshape(count, per * width)[:, :n]
 
     @property
     def total_weight(self) -> int:
@@ -133,6 +137,61 @@ class ForestList:
                 f"version {g.version}: it changed without updating the list"
             )
 
+    def column(self, rows: np.ndarray, u) -> np.ndarray:
+        """Successor of node u (one node, or one per row) in each slot of ``rows``."""
+        return self.pages[self.table[rows, u >> self.shift], u & ((1 << self.shift) - 1)]
+
+    def write(self, rows: np.ndarray, u: int, value: int) -> None:
+        """Set node u's successor to ``value`` in each slot of ``rows``.
+
+        A page that slots outside ``rows`` name too is copied first, and the
+        slots of ``rows`` naming it share the copy.
+        """
+        k = u >> self.shift
+        named = self.table[rows, k]
+        page, inv, cnt = np.unique(named, return_inverse=True, return_counts=True)
+        shared = self.ref[page] > cnt
+        if shared.any():
+            new = self._alloc(int(shared.sum()))
+            self.pages[new] = self.pages[page[shared]]
+            self.ref[page[shared]] -= cnt[shared]
+            self.ref[new] = cnt[shared]
+            page[shared] = new
+            self.table[rows, k] = page[inv]
+        self.pages[page, u & ((1 << self.shift) - 1)] = value
+        self.clean[rows] = False
+
+    def _alloc(self, k: int) -> np.ndarray:
+        """k free pages, growing the pool only when too few are free."""
+        free = np.flatnonzero(self.ref == 0)
+        if len(free) < k:
+            size = max(2 * len(self.ref), len(self.ref) + k - len(free))
+            self.pages = _grown(self.pages, size)
+            self.ref = _grown(self.ref, size)
+            free = np.flatnonzero(self.ref == 0)
+        return free[:k]
+
+    def copy_rows(self, src: np.ndarray) -> np.ndarray:
+        """Copy rows ``src`` to free slots that share their pages; returns the slots."""
+        k = len(src)
+        if len(self.order) + k > len(self.weight):
+            size = max(2 * len(self.weight), len(self.order) + k)
+            self.table = _grown(self.table, size)
+            self.weight = _grown(self.weight, size)
+            self.clean = _grown(self.clean, size)
+        free = np.ones(len(self.weight), dtype=bool)
+        free[self.order] = False
+        dst = np.flatnonzero(free)[:k]
+        self.table[dst] = self.table[src]
+        np.add.at(self.ref, self.table[src], 1)
+        self.weight[dst] = self.weight[src]
+        self.clean[dst] = False
+        return dst
+
+    def release(self, slots: np.ndarray) -> None:
+        """Drop the page references of ``slots``, which must be leaving ``order``."""
+        np.subtract.at(self.ref, self.table[slots], 1)
+
     def roots(self, i: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Root of node i in each slot of ``rows`` (default: the live rows in order)."""
         rows = self.order if rows is None else rows
@@ -140,35 +199,8 @@ class ForestList:
         clean = self.clean[rows]
         out[clean] = self.root[rows[clean], i]
         dirty = rows[~clean]
-        out[~clean] = _walk(self.succ, dirty, np.full(len(dirty), i))
+        out[~clean] = _walk(self, dirty, np.full(len(dirty), i))
         return out
-
-    def claim(self, k: int) -> np.ndarray:
-        """k free slots, growing the slab when too few are left."""
-        if len(self.order) + k > len(self.weight):
-            self._grow(max(2 * len(self.weight), len(self.order) + k))
-        free = np.ones(len(self.weight), dtype=bool)
-        free[self.order] = False
-        slots = np.flatnonzero(free)[:k]
-        self.clean[slots] = False
-        return slots
-
-    def _grow(self, cap: int) -> None:
-        old, n = len(self.weight), self.n
-        self.succ, rows = None, old  # drop this list's own view, so the map can resize
-        try:
-            self._map.resize(max(cap * n * 4, 1))
-            rows = cap
-        except BufferError:
-            # Forest views from iteration still pin the map: copy the rows
-            # to a new one instead.
-            new = mmap.mmap(-1, max(cap * n * 4, 1), flags=mmap.MAP_PRIVATE)
-            np.frombuffer(new, np.int32, old * n)[:] = np.frombuffer(self._map, np.int32, old * n)
-            self._map, rows = new, cap
-        finally:
-            self.succ = np.frombuffer(self._map, np.int32, rows * n).reshape(rows, n)
-        self.weight = np.concatenate([self.weight, np.zeros(cap - old, dtype=np.int64)])
-        self.clean = np.concatenate([self.clean, np.zeros(cap - old, dtype=bool)])
 
     def weight_by_forest(self) -> dict[tuple[int, ...], int]:
         """Aggregate multiplicity per distinct successor tuple."""
@@ -182,23 +214,30 @@ class ForestList:
         return len(self.order)
 
     def __iter__(self) -> Iterator[Forest]:
-        rows = self.succ.view()
-        rows.flags.writeable = False
         for s in self.order.tolist():
-            yield Forest(rows[s], int(self.weight[s]))
+            row = self.pages[self.table[s]].ravel()[:self.n]
+            row.flags.writeable = False
+            yield Forest(row, int(self.weight[s]))
 
     def __repr__(self) -> str:
         return f"ForestList(distinct={len(self)}, weight={self.total_weight})"
 
 
-def _walk(succ: np.ndarray, rows: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """Root of node ``cur[k]`` in row ``rows[k]``; a chain past n nodes is a cycle."""
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """``a`` extended to ``size`` rows with zeros, which stay unmapped until written."""
+    out = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
+def _walk(fl: ForestList, rows: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """Root of node ``cur[k]`` in slot ``rows[k]``; a chain past n nodes is a cycle."""
     out = np.empty(len(rows), dtype=np.intp)
     idx = np.arange(len(rows))
-    for _ in range(succ.shape[1] + 1):
+    for _ in range(fl.n + 1):
         if not len(idx):
             return out
-        nxt = succ[rows, cur]
+        nxt = fl.column(rows, cur)
         end = nxt < 0
         out[idx[end]] = cur[end]
         go = ~end

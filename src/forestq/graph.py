@@ -140,6 +140,8 @@ class Digraph:
         return self._in.row(u)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether (u, v) is an edge.  Raises ValueError on node ids out of range."""
+        self._check_nodes(u, v)
         return v in self._out.row(u).tolist()
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -148,11 +150,10 @@ class Digraph:
 
     def insert_edge(self, u: int, v: int) -> None:
         """Add edge (u, v).  Raises ValueError on self-loops or duplicates."""
-        self._check_nodes(u, v)
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) not allowed")
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) exists")
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) not allowed")
         self._out.append(u, v)
         self._in.append(v, u)
         self._m += 1
@@ -160,7 +161,6 @@ class Digraph:
 
     def delete_edge(self, u: int, v: int) -> None:
         """Remove edge (u, v).  Raises ValueError if absent."""
-        self._check_nodes(u, v)
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) not found")
         self._out.remove(u, v)

@@ -15,7 +15,7 @@ runs into.  A node that reached a root is settled for good, since its path
 holds no cycle node; the nodes on cycles draw again and the rest wait for
 the next round.  The last doubling pass leaves every node at its root, so
 each chunk's successor and root rows are written straight into the forest
-store.
+store, whose fresh pages a dense view lays out row after row.
 
 Randomness comes from a counter-based generator (Philox), and the chunk
 size is a constant, so the output of :func:`sample_forest_list` depends
@@ -68,8 +68,8 @@ def sample_forest_list(g: Digraph, count: int, rng: ForestRng) -> ForestList:
     """Draw ``count`` independent uniform forests as a multiplicity-1 list."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    forests = ForestList._blank(count, g.n)
-    _sample(g, rng, forests.succ, forests.root)
+    forests, succ = ForestList._blank(count, g.n)
+    _sample(g, rng, succ, forests.root)
     forests.version = g.version
     return forests
 

@@ -6,6 +6,7 @@ import pytest
 from forestq import (
     Digraph,
     Forest,
+    ForestCycleError,
     ForestList,
     ForestRng,
     PruneConfig,
@@ -160,6 +161,22 @@ def test_updates_refuse_weight_past_2_62():
     assert fl.weight_by_forest() == {(-1, -1, -1): 2**62}
     # The undo moved the graph's version on, and the list follows it.
     assert fl.version == g.version == 2
+
+
+def test_insert_on_a_corrupt_row_changes_nothing():
+    # A cycle written into one row makes the insert's root read raise; the
+    # graph and the list are left as they were.
+    g = three_cycle()
+    fl = sample_forest_list(g, 40, ForestRng(9))
+    row = fl.order[fl.column(fl.order, 2) == -1][:1]
+    fl.write(row, 0, 1)
+    fl.write(row, 1, 0)
+    edges, version = sorted(g.edges()), g.version
+    weight, order = fl.weight.copy(), fl.order.copy()
+    with pytest.raises(ForestCycleError):
+        insert_update(g, fl, (2, 1))
+    assert sorted(g.edges()) == edges and g.version == version == fl.version
+    assert np.array_equal(fl.weight, weight) and np.array_equal(fl.order, order)
 
 
 def test_graph_changed_behind_list_raises():
@@ -342,13 +359,18 @@ def test_parse_update_stream_errors():
 
 
 def test_updated_forests_share_no_storage():
+    # Spawned rows share their parents' pages until written; a write through
+    # the store copies the shared page, so the parents keep their rows.
     g = three_cycle()
     fl = uniform_list(g)
     before = len(fl)
     insert_update(g, fl, (0, 2))
     parent_tuples = [f.as_tuple() for f in fl][:before]
-    fl.succ[fl.order[before:], 1] = -1  # mutate the children only
+    children = fl.order[before:]
+    fl.write(children, 1, -1)
+    fl.write(children[:1], 2, 1)
     assert [f.as_tuple() for f in fl][:before] == parent_tuples
+    assert fl.column(children, 1).tolist() == [-1] * len(children)
 
 
 def test_long_stream_with_prunes_keeps_marginal_uniform():

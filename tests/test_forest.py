@@ -1,7 +1,11 @@
+import pickle
+from copy import deepcopy
+
 import numpy as np
 import pytest
 
 from forestq import (
+    Digraph,
     Forest,
     ForestCycleError,
     ForestList,
@@ -10,6 +14,7 @@ from forestq import (
     delete_update,
     insert_update,
     prune,
+    random_digraph,
     sample_forest_list,
 )
 from helpers import chain_root, random_small_digraph, three_cycle, two_node
@@ -34,7 +39,7 @@ def test_dirty_flag_semantics():
     # edit must not leave the old root behind.
     g = two_node()
     fl = sample_forest_list(g, 50, ForestRng(3))
-    joined = fl.succ[fl.order, 0] == 1
+    joined = fl.column(fl.order, 0) == 1
     assert joined.any() and fl.clean[fl.order].all()
     assert set(fl.roots(0)[joined].tolist()) == {1}
     delete_update(g, fl, (0, 1))
@@ -108,19 +113,88 @@ def test_iteration_views_are_read_only():
         f.successor[0] = -1
 
 
-def test_growth_keeps_rows_with_and_without_outside_views():
+def test_page_pool_grows_and_reuses_freed_pages():
+    # Each write to a shared page takes a free page; the pool doubles only
+    # when none is free, and pages that prune releases are taken first.
+    g = Digraph(3)
+    fl = ForestList([make([-1, -1, -1], multiplicity=2)])
+    held = [f.successor for f in fl]
+    assert fl.pages.shape == (1, 4) and fl.ref.tolist() == [1]
+    insert_update(g, fl, (0, 1))
+    insert_update(g, fl, (2, 1))
+    assert [f.as_tuple() for f in fl] == [
+        (-1, -1, -1), (1, -1, -1), (-1, -1, 1), (1, -1, 1)
+    ]
+    assert len(fl.ref) == 4 and fl.ref.tolist() == [1, 1, 1, 1]
+    assert len(fl.weight) >= 4 and not fl.clean[fl.order].any()
+    assert held[0].tolist() == [-1, -1, -1]
+    prune(fl, PruneConfig(base_count=2, factor=1.0), ForestRng(4))
+    live = set(fl.table[fl.order, 0].tolist())
+    assert len(fl) <= 2 and fl.ref.sum() == len(live) == len(fl)
+    assert insert_update(g, fl, (1, 2)) == 1
+    assert len(fl.ref) == 4  # the spawned row took a page prune freed
+    assert fl.ref.tolist() == np.bincount(fl.table[fl.order, 0], minlength=4).tolist()
+    assert all(f.invariant_errors(g) == [] for f in fl)
+
+
+def test_pickle_and_deepcopy_keep_the_list():
     g = three_cycle()
-    for hold in (False, True):
-        fl = ForestList([make([1, 2, -1]), make([-1, -1, -1], multiplicity=2)])
-        held = list(fl) if hold else []
-        grown_in_place = fl._map
-        slots = fl.claim(5)
-        assert (fl._map is grown_in_place) == (not hold)
-        assert len(fl.weight) >= 7 and not fl.clean[slots].any()
-        assert [f.as_tuple() for f in fl] == [(1, 2, -1), (-1, -1, -1)]
-        assert [f.as_tuple() for f in held] == [(1, 2, -1), (-1, -1, -1)][: len(held)]
-        assert fl.total_weight == 3
-        assert all(f.invariant_errors(g) == [] for f in fl)
+    fl = sample_forest_list(g, 30, ForestRng(8))
+    insert_update(g, fl, (0, 2))
+    delete_update(g, fl, (1, 2))
+    rows = [(f.as_tuple(), f.multiplicity) for f in fl]
+    for copy in (pickle.loads(pickle.dumps(fl)), deepcopy(fl)):
+        assert [(f.as_tuple(), f.multiplicity) for f in copy] == rows
+        assert np.array_equal(copy.order, fl.order)
+        assert copy.version == fl.version == g.version
+        assert all(np.array_equal(copy.roots(i), fl.roots(i)) for i in range(g.n))
+        copy.write(copy.order, 0, -1)  # the copy owns its pages
+        assert [(f.as_tuple(), f.multiplicity) for f in fl] == rows
+
+
+def test_multi_page_rows_match_a_dense_model():
+    # n = 2100 spreads a row over three 1024-node pages, so spawned rows
+    # keep sharing the pages an insert does not write, and a delete can hit
+    # a shared page: slots sharing a page agree on it, so every slot naming
+    # the page takes the same write, in place.
+    gen = np.random.default_rng(72)
+    g = random_digraph(2100, 6300, gen)
+    rng = ForestRng(72)
+    fl = sample_forest_list(g, 6, rng)
+    assert fl.pages.shape[1] == 1024 and fl.table.shape[1] == 3
+    model = {s: f.successor.copy() for s, f in zip(fl.order.tolist(), fl)}
+    cfg = PruneConfig(base_count=6, factor=4.0)
+    in_place = 0
+    for step in range(80):
+        live = fl.order.tolist()
+        if step % 2:
+            row = model[live[int(gen.integers(len(live)))]]
+            u = int(gen.choice(np.flatnonzero(row >= 0)))
+            v = int(row[u])
+            hit = np.array([s for s in live if model[s][u] == v])
+            page, shared = fl.table[hit, u >> 10], fl.ref[fl.table[hit, u >> 10]] > 1
+            delete_update(g, fl, (u, v))
+            assert np.array_equal(fl.table[hit, u >> 10], page)
+            in_place += int(shared.sum())
+            for s in hit.tolist():
+                model[s] = model[s].copy()
+                model[s][u] = -1
+        else:
+            while True:
+                u, v = (int(x) for x in gen.integers(g.n, size=2))
+                if u != v and not g.has_edge(u, v):
+                    break
+            src = [s for s in live if model[s][u] == -1 and chain_root(model[s], v) != u]
+            insert_update(g, fl, (u, v))
+            for d, s in zip(fl.order[len(live):].tolist(), src, strict=True):
+                model[d] = model[s].copy()
+                model[d][u] = v
+        prune(fl, cfg, rng)
+        assert all(np.array_equal(f.successor, model[s]) for s, f in zip(fl.order.tolist(), fl))
+        named = np.bincount(fl.table[fl.order].ravel(), minlength=len(fl.ref))
+        assert np.array_equal(fl.ref, named)
+    assert len(np.unique(fl.table[fl.order])) < 3 * len(fl)
+    assert in_place > 0
 
 
 def test_store_matches_chain_walks_under_random_updates():
@@ -128,7 +202,8 @@ def test_store_matches_chain_walks_under_random_updates():
     # every step every live row is a forest of the current graph, and the
     # roots the store reports equal a plain chain walk of the row, whether
     # the row still holds the sampler's roots, was spawned by an insert, or
-    # was edited by a delete, or was spawned into a sampled row's freed slot.
+    # was edited by a delete, or was spawned into a sampled row's freed slot;
+    # and ``ref`` counts the live slots naming each page.
     gen = np.random.default_rng(71)
     seen = {"clean": 0, "spawned": 0, "edited": 0, "reused": 0}
     for trial in range(30):
@@ -137,7 +212,6 @@ def test_store_matches_chain_walks_under_random_updates():
         fl = sample_forest_list(g, 12, rng)
         sampled = set(fl.order.tolist())
         cfg = PruneConfig(base_count=12, factor=2.0)
-        held: list = []
         for _ in range(25):
             step = gen.random()
             pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
@@ -146,7 +220,7 @@ def test_store_matches_chain_walks_under_random_updates():
             else:
                 u, v = pairs[int(gen.integers(len(pairs)))]
                 if g.has_edge(u, v):
-                    edited = fl.order[fl.succ[fl.order, u] == v]
+                    edited = fl.order[fl.column(fl.order, u) == v]
                     delete_update(g, fl, (u, v))
                     seen["edited"] += len(edited)
                 else:
@@ -156,16 +230,15 @@ def test_store_matches_chain_walks_under_random_updates():
                     assert len(new) == spawned
                     seen["spawned"] += spawned
                     seen["reused"] += len(new & sampled)
-            # Views held across the next update exercise the copying growth path.
-            held = list(fl) if gen.random() < 0.3 else []
             live = fl.order
             seen["clean"] += int(np.isin(live[fl.clean[live]], list(sampled)).sum())
             assert len(set(live.tolist())) == len(live)
             assert (fl.weight[live] >= 1).all()
-            for f in fl:
-                assert f.invariant_errors(g) == []
+            # Each page is counted once per live slot naming it.
+            named = np.bincount(fl.table[live].ravel(), minlength=len(fl.ref))
+            assert np.array_equal(fl.ref, named) and (fl.ref[fl.table[live]] > 0).all()
+            rows = [f.successor for f in fl]
+            assert all(f.invariant_errors(g) == [] for f in fl)
             for i in range(g.n):
-                expected = [chain_root(fl.succ[s], i) for s in live.tolist()]
-                assert fl.roots(i).tolist() == expected
-        del held
+                assert fl.roots(i).tolist() == [chain_root(row, i) for row in rows]
     assert min(seen.values()) > 20, seen

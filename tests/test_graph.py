@@ -49,6 +49,15 @@ def test_delete_edge():
         g.delete_edge(0, 1)
 
 
+def test_has_edge_rejects_node_ids_out_of_range():
+    g = build_graph(3, [(2, 0)])
+    # -1 would wrap round to node 2's segment, and 3 would run off the end.
+    for u, v in ((-1, 0), (3, 0), (0, -1), (0, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            g.has_edge(u, v)
+    assert g.has_edge(2, 0) and not g.has_edge(0, 2)
+
+
 def _swap_remove(lst: list[int], value: int) -> None:
     i = lst.index(value)
     lst[i] = lst[-1]

@@ -116,8 +116,8 @@ def test_large_graph_forest_root_cache_matches_rebuild():
             g.insert_edge(u, v)
     fl = sample_forest_list(g, 3, ForestRng(30))
     assert fl.clean[fl.order].all()  # the sampler hands over the roots it found
-    for s in fl.order.tolist():
-        walked = [chain_root(fl.succ[s], i) for i in range(n)]
+    for s, f in zip(fl.order.tolist(), fl):
+        walked = [chain_root(f.successor, i) for i in range(n)]
         assert fl.root[s].tolist() == walked
 
 
@@ -127,7 +127,7 @@ def test_same_seed_same_forests_across_chunks():
     a = sample_forest_list(g, count, ForestRng(13))
     b = sample_forest_list(g, count, ForestRng(13))
     assert len(a) == count
-    assert np.array_equal(a.succ, b.succ)
+    assert [f.as_tuple() for f in a] == [f.as_tuple() for f in b]
     assert np.array_equal(a.root, b.root)
     assert len({f.as_tuple() for f in a}) == count  # chunks do not repeat draws
 
@@ -137,7 +137,7 @@ def test_out_degree_zero_nodes_are_always_roots():
     sinks = [u for u in range(g.n) if g.out_degree(u) == 0]
     assert sinks == [5]
     fl = sample_forest_list(g, 2000, ForestRng(14))
-    assert (fl.succ[fl.order, 5] == -1).all()
+    assert (fl.column(fl.order, 5) == -1).all()
     assert (fl.roots(5) == 5).all()
 
 
@@ -168,8 +168,8 @@ def test_root_caches_match_rebuild_on_random_digraphs():
         g = random_small_digraph(gen, max_n=10)
         fl = sample_forest_list(g, 30, rng)
         assert fl.clean[fl.order].all()
-        for s in fl.order.tolist():
-            assert fl.root[s].tolist() == [chain_root(fl.succ[s], i) for i in range(g.n)]
+        for s, f in zip(fl.order.tolist(), fl):
+            assert fl.root[s].tolist() == [chain_root(f.successor, i) for i in range(g.n)]
 
 
 def test_early_round_end_pops_what_all_passes_pop(monkeypatch):
@@ -186,7 +186,7 @@ def test_early_round_end_pops_what_all_passes_pop(monkeypatch):
         monkeypatch.setattr(sampling, "_pop_cycles", pop)
         runs.append([sample_forest_list(g, 40, ForestRng(19)) for g in graphs])
     for early, full in zip(*runs):
-        assert np.array_equal(early.succ, full.succ)
+        assert [f.as_tuple() for f in early] == [f.as_tuple() for f in full]
         assert np.array_equal(early.root, full.root)
 
 
