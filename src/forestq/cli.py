@@ -4,7 +4,6 @@ Subcommands:
 
 * ``query``    estimate one forest-matrix entry from fresh samples
 * ``replay``   apply an update stream, tracking the maintained forest list
-* ``bench``    timing table for static/dynamic queries, updates, dense solve
 * ``validate`` self-checks: oracle cross-check, forest validity, uniformity
 
 All CSV output starts with ``#`` comment lines echoing the full run
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import statistics
 import sys
 import time
 from typing import Callable, Iterator, Sequence
@@ -26,7 +24,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import oracle
-from .dynamic import PruneConfig, delete_update, insert_update, parse_update_stream, prune
+from .dynamic import (PruneConfig, UpdateEvent, apply_stream, delete_update, insert_update,
+                      parse_update_stream)
 from .estimators import EstimatorParams, required_samples, sfq_query, sfqplus_query
 from .forest import Forest, ForestList
 from .graph import Digraph, load_edge_list, random_digraph
@@ -46,8 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.01, help="failure probability")
     p.add_argument("--prune-factor", type=float, default=5.0,
                    help="forest list cap as a multiple of its seed size")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("query", help="estimate one entry (i, j)")
@@ -66,13 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--timings-out", metavar="PATH",
                    help="per-event wall times CSV (not reproducible by nature)")
 
-    b = sub.add_parser("bench", help="timing table on the loaded graph")
-    b.add_argument("--samples", type=int, help="forest list size override")
-    b.add_argument("--query-reps", type=int, default=100)
-    b.add_argument("--update-rounds", type=int, default=50,
-                   help="insert+delete rounds applied between the static and dynamic phases")
-    b.add_argument("--out", metavar="PATH", help="CSV (default stdout)")
-
     v = sub.add_parser("validate", help="run the invariant battery")
     v.add_argument("--random", type=int, metavar="N", default=0,
                    help="cross-check N random digraphs (n <= 5) as well")
@@ -88,7 +78,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler: Callable[[argparse.Namespace], int] = {
         "query": cmd_query,
         "replay": cmd_replay,
-        "bench": cmd_bench,
         "validate": cmd_validate,
     }[args.command]
     try:
@@ -170,9 +159,12 @@ def _parse_query_specs(specs: list[str], n: int) -> list[tuple[int, int, str]]:
     out = []
     for spec in specs:
         parts = spec.split(",")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad --query {spec!r}, expected I,J[,METHOD]")
-        i, j = int(parts[0]), int(parts[1])
+        try:
+            if len(parts) not in (2, 3):
+                raise ValueError
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"bad --query {spec!r}, expected I,J[,METHOD]") from None
         method = parts[2] if len(parts) == 3 else "sfqplus"
         if method not in ("sfq", "sfqplus"):
             raise ValueError(f"bad --query method {method!r}")
@@ -215,133 +207,29 @@ def cmd_replay(args: argparse.Namespace) -> int:
         writer.writerow(header)
         writer.writerow([-1, "init", "", "", forests.total_weight, len(forests)]
                         + [repr(v) for v in run_queries()])
-        for ev in events:
-            t0 = time.perf_counter()
-            if ev.kind == "insert":
-                insert_update(g, forests, ev.edge)
-            else:
-                delete_update(g, forests, ev.edge)
+
+        def on_event(ev: UpdateEvent) -> None:
+            nonlocal mark
+            # Timed from the end of the previous row: the update and its prune.
             t1 = time.perf_counter()
-            prune(forests, cfg, rng)
-            t2 = time.perf_counter()
             values = run_queries()
-            t3 = time.perf_counter()
+            t2 = time.perf_counter()
             writer.writerow(
                 [ev.sequence, ev.kind, ev.edge[0], ev.edge[1],
                  forests.total_weight, len(forests)]
                 + [repr(v) for v in values]
             )
-            timing_rows.append(
-                [ev.sequence, ev.kind, f"{t1 - t0:.6f}", f"{t2 - t1:.6f}", f"{t3 - t2:.6f}"]
-            )
+            timing_rows.append([ev.sequence, ev.kind, f"{t1 - mark:.6f}", f"{t2 - t1:.6f}"])
+            mark = time.perf_counter()
+
+        mark = time.perf_counter()
+        apply_stream(g, forests, events, cfg, rng, on_event)
     if args.timings_out:
         with open(args.timings_out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["seq", "kind", "update_seconds", "prune_seconds", "query_seconds"])
+            writer.writerow(["seq", "kind", "update_seconds", "query_seconds"])
             writer.writerows(timing_rows)
     return 0
-
-
-# ---- bench ----
-
-def _median_query_seconds(
-    g: Digraph, forests: ForestList, pairs: list[tuple[int, int]], method: str
-) -> float:
-    times = []
-    for i, j in pairs:
-        t0 = time.perf_counter()
-        if method == "sfq":
-            sfq_query(forests, i, j)
-        else:
-            sfqplus_query(g, forests, i, j)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    g = _load(args)
-    if g.n < 2:
-        raise ValueError("bench needs at least 2 nodes")
-    count = args.samples
-    if count is None:
-        count = required_samples(_params(args), diagonal=True)
-    cfg = PruneConfig(count, args.prune_factor)
-    rng = ForestRng(args.seed)
-    pick = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed + 1)))
-
-    t0 = time.perf_counter()
-    forests = sample_forest_list(g, count, rng)
-    build_seconds = time.perf_counter() - t0
-
-    def random_pairs(k: int) -> list[tuple[int, int]]:
-        out = []
-        for _ in range(k):
-            i = int(pick.integers(g.n))
-            j = i if pick.random() < 0.5 else int(pick.integers(g.n))
-            out.append((i, j))
-        return out
-
-    static_pairs = random_pairs(args.query_reps)
-    sfq_static = _median_query_seconds(g, forests, static_pairs, "sfq")
-    sfqplus_static = _median_query_seconds(g, forests, static_pairs, "sfqplus")
-
-    update_times = []
-    for _ in range(args.update_rounds):
-        edge = _random_absent_edge(g, pick)
-        if edge is not None:
-            t0 = time.perf_counter()
-            insert_update(g, forests, edge)
-            prune(forests, cfg, rng)
-            update_times.append(time.perf_counter() - t0)
-        edge = _random_present_edge(g, pick)
-        if edge is not None:
-            t0 = time.perf_counter()
-            delete_update(g, forests, edge)
-            prune(forests, cfg, rng)
-            update_times.append(time.perf_counter() - t0)
-    update_median = statistics.median(update_times) if update_times else float("nan")
-
-    dynamic_pairs = random_pairs(args.query_reps)
-    sfq_dynamic = _median_query_seconds(g, forests, dynamic_pairs, "sfq")
-    sfqplus_dynamic = _median_query_seconds(g, forests, dynamic_pairs, "sfqplus")
-
-    solver_seconds = ""
-    if g.n <= oracle.DENSE_NODE_LIMIT:
-        t0 = time.perf_counter()
-        oracle.exact_forest_matrix(g)
-        solver_seconds = f"{time.perf_counter() - t0:.6f}"
-
-    with _open_out(args.out) as fh:
-        for line in _config_lines(args, g):
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["n", "m", "samples", "build_seconds", "sfq_static", "sfqplus_static",
-             "update_median", "sfq_dynamic", "sfqplus_dynamic", "solver_seconds"]
-        )
-        writer.writerow(
-            [g.n, g.m, count, f"{build_seconds:.6f}", f"{sfq_static:.6f}",
-             f"{sfqplus_static:.6f}", f"{update_median:.6f}", f"{sfq_dynamic:.6f}",
-             f"{sfqplus_dynamic:.6f}", solver_seconds]
-        )
-    return 0
-
-
-def _random_absent_edge(g: Digraph, pick: np.random.Generator) -> tuple[int, int] | None:
-    if g.m >= g.n * (g.n - 1):
-        return None
-    while True:
-        u = int(pick.integers(g.n))
-        v = int(pick.integers(g.n))
-        if u != v and not g.has_edge(u, v):
-            return (u, v)
-
-
-def _random_present_edge(g: Digraph, pick: np.random.Generator) -> tuple[int, int] | None:
-    if g.m == 0:
-        return None
-    edges = list(g.edges())
-    return edges[int(pick.integers(len(edges)))]
 
 
 # ---- validate ----
@@ -352,7 +240,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     if args.random:
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
+        gen = ForestRng(args.seed).generator
         worst = ""
         ok = True
         for k in range(args.random):
@@ -434,7 +322,7 @@ def _graph_battery(g: Digraph, args: argparse.Namespace) -> list[tuple[str, bool
     else:
         checks.append(("sampler uniformity", True, "skipped: graph not enumerable at this sample budget"))
 
-    if 1 <= g.n <= 4:
+    if g.n <= 4:
         ok, detail = _exact_update_uniformity(g)
         checks.append(("single-edge updates preserve uniformity", ok, detail))
     else:

@@ -20,7 +20,7 @@ frees the slots and page references of the rows it drops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -141,11 +141,13 @@ def apply_stream(
     events: Iterable[UpdateEvent],
     cfg: PruneConfig,
     rng: ForestRng,
+    on_event: Callable[[UpdateEvent], None] | None = None,
 ) -> int:
     """Apply updates in order, pruning whenever the list outgrows the cap.
 
-    Raises ValueError naming the first invalid event; returns the number of
-    events applied.
+    ``on_event(ev)``, if given, is called after each event's update and
+    prune.  Raises ValueError naming the first invalid event; returns the
+    number of events applied.
     """
     applied = 0
     floor = min(forests.total_weight, cfg.base_count)
@@ -167,6 +169,8 @@ def apply_stream(
                 f"event {idx}: list weight {forests.total_weight} fell below {floor}"
             )
         prune(forests, cfg, rng)
+        if on_event is not None:
+            on_event(ev)
         applied += 1
     return applied
 

@@ -46,18 +46,9 @@ class Forest:
     def n(self) -> int:
         return len(self.successor)
 
-    def contains_edge(self, u: int, v: int) -> bool:
-        return self.successor[u] == v
-
-    def is_root(self, u: int) -> bool:
-        return self.successor[u] == -1
-
     def as_tuple(self) -> tuple[int, ...]:
         """Canonical encoding: the successor array as a tuple."""
         return tuple(self.successor.tolist())
-
-    def root_nodes(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.successor == -1)]
 
     def invariant_errors(self, graph) -> list[str]:
         """Structural checks against a graph; empty list means valid."""
@@ -73,18 +64,13 @@ class Forest:
                 errors.append(f"successor edge ({u}, {v}) not in graph")
         try:
             _walk(ForestList([self]), np.zeros(self.n, np.intp), np.arange(self.n))
-        except ForestCycleError as exc:
+        except (ForestCycleError, ValueError) as exc:  # a cycle, or successors out of range
             errors.append(str(exc))
         return errors
 
-    def debug_lines(self) -> Iterator[str]:
-        """Human-readable dump, one ``i -> j`` (or ``i -> .`` for roots) per node."""
-        for u in range(self.n):
-            v = int(self.successor[u])
-            yield f"{u} -> ." if v == -1 else f"{u} -> {v}"
-
     def __repr__(self) -> str:
-        return f"Forest(n={self.n}, roots={len(self.root_nodes())}, x{self.multiplicity})"
+        roots = int((self.successor == -1).sum())
+        return f"Forest(n={self.n}, roots={roots}, x{self.multiplicity})"
 
 
 class ForestList:
@@ -99,7 +85,13 @@ class ForestList:
 
     def __init__(self, forests: Iterable[Forest] = ()) -> None:
         rows = list(forests)
-        succ = self._fill(len(rows), rows[0].n if rows else 0, sampled=False)
+        n = rows[0].n if rows else 0
+        for k, f in enumerate(rows):
+            if f.n != n:
+                raise ValueError(f"forest {k} has {f.n} nodes, forest 0 has {n}")
+            if ((f.successor < -1) | (f.successor >= n)).any():
+                raise ValueError(f"forest {k} has a successor outside [-1, {n})")
+        succ = self._fill(len(rows), n, sampled=False)
         succ[:] = [f.successor for f in rows]
         self.weight[:] = [f.multiplicity for f in rows]
 

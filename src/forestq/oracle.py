@@ -222,7 +222,7 @@ def cross_check(g: Digraph, tol: float = 1e-10) -> CrossCheckReport:
                 violations.append(f"column dominance violated at ({j}, {i})")
             if omega[i, j] > 1.0 / (2 + g.out_degree(j)) + tol:
                 violations.append(f"off-diagonal bound violated at ({i}, {j})")
-    if float(np.max(omega)) > 1.0 + tol or float(np.min(omega)) < -tol:
+    if n and (float(np.max(omega)) > 1.0 + tol or float(np.min(omega)) < -tol):
         violations.append("entries outside [0, 1]")
 
     return CrossCheckReport(n, fs.size, max_diff, row_dev, violations)

@@ -38,23 +38,12 @@ _MAX_ROUNDS = 10_000
 
 
 class ForestRng:
-    """Seeded, splittable random stream."""
+    """Seeded random stream: a Philox generator keyed by ``SeedSequence(seed)``."""
 
-    __slots__ = ("seed_seq", "generator")
+    __slots__ = ("generator",)
 
-    def __init__(self, seed: int | np.random.SeedSequence = 0) -> None:
-        if isinstance(seed, np.random.SeedSequence):
-            self.seed_seq = seed
-        else:
-            self.seed_seq = np.random.SeedSequence(seed)
-        self.generator = np.random.Generator(np.random.Philox(self.seed_seq))
-
-    def spawn(self, k: int) -> list["ForestRng"]:
-        """k independent child streams, deterministic given call order."""
-        return [ForestRng(child) for child in self.seed_seq.spawn(k)]
-
-    def uniform(self) -> float:
-        return float(self.generator.random())
+    def __init__(self, seed: int = 0) -> None:
+        self.generator = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def sample_forest(g: Digraph, rng: ForestRng) -> Forest:

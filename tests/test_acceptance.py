@@ -400,7 +400,7 @@ def test_criterion_9_replay_determinism(tmp_path):
         stream_path = tmp_path / "stream.txt"
         stream_path.write_text("\n".join(stream_lines) + "\n")
 
-        args = ["--graph", str(graph_path), "--seed", "77", "--threads", "1",
+        args = ["--graph", str(graph_path), "--seed", "77",
                 "replay", "--stream", str(stream_path), "--samples", "300",
                 "--query", "0,0", "--query", "1,2", "--query", "3,3,sfq"]
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -82,7 +82,7 @@ def test_insert_spawns_match_root_condition():
         assert spawned == len(eligible)
         stripped = []
         for child in list(fl)[before:]:
-            assert child.contains_edge(u, v)
+            assert child.successor[u] == v
             base = list(child.successor)
             base[u] = -1
             stripped.append(tuple(base))
@@ -295,8 +295,11 @@ def test_apply_stream_prunes_when_cap_exceeded():
     fl = uniform_list(g)
     cfg = PruneConfig(base_count=7, factor=1.0)
     events = [UpdateEvent("delete", (2, 0), 0)]  # doubles most weights
-    apply_stream(g, fl, events, cfg, ForestRng(10))
+    seen = []
+    apply_stream(g, fl, events, cfg, ForestRng(10),
+                 on_event=lambda ev: seen.append((ev, fl.total_weight)))
     assert fl.total_weight == 7  # pruned back to the cap
+    assert seen == [(events[0], 7)]  # on_event runs after the prune
 
 
 def test_apply_stream_reports_failing_event_index():

@@ -59,15 +59,16 @@ def test_cycle_detection():
 def test_as_tuple_and_roots():
     f = make([1, 2, -1, -1])
     assert f.as_tuple() == (1, 2, -1, -1)
-    assert f.root_nodes() == [2, 3]
-    assert f.contains_edge(0, 1)
-    assert not f.contains_edge(1, 0)
-    assert f.is_root(3)
+    assert "roots=2" in repr(f)
 
 
-def test_debug_lines():
-    f = make([1, -1])
-    assert list(f.debug_lines()) == ["0 -> 1", "1 -> ."]
+def test_forest_list_rejects_malformed_forests():
+    with pytest.raises(ValueError, match="forest 1 has 2 nodes"):
+        ForestList([make([-1, -1, -1]), make([-1, -1])])
+    with pytest.raises(ValueError, match=r"forest 0 has a successor outside \[-1, 2\)"):
+        ForestList([make([5, -1])])
+    with pytest.raises(ValueError, match="forest 1 has a successor outside"):
+        ForestList([make([-1, -1]), make([-2, -1])])
 
 
 def test_invariant_errors():
@@ -77,6 +78,9 @@ def test_invariant_errors():
 
     wrong_edge = make([2, -1, -1])  # (0, 2) is not an edge of the 3-cycle
     assert any("not in graph" in e for e in wrong_edge.invariant_errors(g))
+
+    out_of_range = make([5, -1, -1])
+    assert any("outside" in e for e in out_of_range.invariant_errors(g))
 
     cyclic = make([1, 2, 0])
     assert any("cycle" in e for e in cyclic.invariant_errors(g))

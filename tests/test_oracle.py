@@ -58,6 +58,8 @@ def test_single_node_and_empty():
     fs = enumerate_forests(Digraph(0))
     assert fs.size == 1
     assert fs.forests == [()]
+    report = cross_check(Digraph(0))
+    assert report.ok and report.forest_count == 1
 
 
 def test_isolated_nodes_identity():

@@ -96,16 +96,6 @@ def test_sampling_does_not_mutate_graph():
     assert g.m == 3
 
 
-def test_rng_uniform_and_spawn():
-    rng = ForestRng(42)
-    xs = [rng.uniform() for _ in range(10)]
-    assert all(0.0 <= x < 1.0 for x in xs)
-    kids = rng.spawn(3)
-    assert len(kids) == 3
-    vals = {k.uniform() for k in kids}
-    assert len(vals) == 3  # distinct streams
-
-
 def test_large_graph_forest_root_cache_matches_rebuild():
     gen = np.random.default_rng(30)
     n = 500
