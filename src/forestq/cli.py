@@ -137,6 +137,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     count = args.samples
     if count is None:
         count = required_samples(_params(args), g.out_degree(j), diagonal=(i == j))
+    if count < 1:
+        raise ValueError("--samples must be >= 1")
     rng = ForestRng(args.seed)
     t0 = time.perf_counter()
     forests = sample_forest_list(g, count, rng)
@@ -319,6 +321,8 @@ def _graph_battery(g: Digraph, args: argparse.Namespace) -> list[tuple[str, bool
                 ("sampler uniformity", pvalue >= 0.001,
                  f"chi-square p={pvalue:.4f} over {forest_count} forests, {args.samples} samples")
             )
+    elif forest_count == 1:
+        checks.append(("sampler uniformity", True, "skipped: one forest, nothing to test"))
     else:
         checks.append(("sampler uniformity", True, "skipped: graph not enumerable at this sample budget"))
 

@@ -12,10 +12,16 @@ names the ceil(n/W) pages of a slot, so entry (slot, u) is
 ``pages[table[slot, u >> shift], u & (W - 1)]``, and ``ref`` counts the
 live slots naming each page.  An insert's copies share their parents'
 pages; a write copies a page to a free one (``ref == 0``) unless every slot
-naming it takes the same write.  The arrays grow by doubling.  ``root``
-holds the roots the sampler found for a slot while ``clean[slot]`` is set;
-a write or a copy into the slot clears it, and the other rows' roots come
-from one vectorised chain walk.  ``version`` is the graph version the list
+naming it takes the same write.  A new store reserves as many spare pages
+as it fills, as zeros that stay unmapped until handed out, so inserts take
+free pages without copying the pool; the pool doubles only when none is
+free.  When a release leaves at most 1/32 of the pool live, the live pages
+move into a pool of twice their number and ``table`` is renumbered.
+``root`` holds the roots the sampler found for a slot while ``clean[slot]``
+is set; a write or a copy into the slot clears it, the other rows' roots
+come from one vectorised chain walk, and a release that leaves no live row
+clean frees ``root``.  Pickles hold only the live pages, and ``root`` only
+while a live row is clean.  ``version`` is the graph version the list
 was sampled or last updated at (``None`` for a list built from forests);
 queries and updates against a graph at another version raise.
 
@@ -107,15 +113,16 @@ class ForestList:
         self.shift = min(10, max(n - 1, 0).bit_length())
         width = 1 << self.shift
         per = -(-n // width)
-        self.pages = np.empty((count * per, width), dtype=np.int32)
+        self.pages = np.zeros((2 * count * per, width), dtype=np.int32)
         self.table = np.arange(count * per).reshape(count, per)
-        self.ref = np.ones(count * per, dtype=np.int64)
+        self.ref = np.zeros(2 * count * per, dtype=np.int64)
+        self.ref[:count * per] = 1
         self.weight = np.ones(count, dtype=np.int64)
         self.order = np.arange(count)
         self.root = np.empty((count if sampled else 0, n), dtype=np.int32)
         self.clean = np.full(count, sampled)
         self.version: int | None = None
-        return self.pages.reshape(count, per * width)[:, :n]
+        return self.pages[:count * per].reshape(count, per * width)[:, :n]
 
     @property
     def total_weight(self) -> int:
@@ -181,8 +188,35 @@ class ForestList:
         return dst
 
     def release(self, slots: np.ndarray) -> None:
-        """Drop the page references of ``slots``, which must be leaving ``order``."""
+        """Drop the page references of ``slots``, which must be leaving ``order``.
+
+        Frees ``root`` once no live row outside ``slots`` is clean, and
+        compacts the pool once at most 1/32 of it is live.
+        """
         np.subtract.at(self.ref, self.table[slots], 1)
+        self.clean[slots] = False
+        if len(self.root) and not self.clean[self.order].any():
+            self.root = np.empty((0, self.n), dtype=np.int32)
+        if 32 * np.count_nonzero(self.ref) <= len(self.ref):
+            self.pages, self.table, self.ref = self._packed(2)
+
+    def _packed(self, factor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live pages at the front of a pool ``factor`` times their number,
+        with ``table`` and ``ref`` renumbered to match."""
+        live = np.flatnonzero(self.ref)
+        pages = np.zeros((factor * len(live), self.pages.shape[1]), dtype=np.int32)
+        # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
+        np.take(self.pages, live, axis=0, out=pages[:len(live)], mode="clip")
+        remap = np.zeros(len(self.ref), dtype=np.intp)
+        remap[live] = np.arange(len(live))
+        return pages, remap[self.table], _grown(self.ref[live], len(pages))
+
+    def __getstate__(self) -> tuple[None, dict]:
+        state = {k: getattr(self, k) for k in self.__slots__}
+        state["pages"], state["table"], state["ref"] = self._packed(1)
+        if not self.clean[self.order].any():
+            state["root"] = self.root[:0]
+        return None, state  # (no __dict__, slot values), as pickle and copy expect
 
     def roots(self, i: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Root of node i in each slot of ``rows`` (default: the live rows in order)."""

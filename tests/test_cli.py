@@ -64,6 +64,12 @@ def test_query_sfq_method_and_derived_samples(cycle_file, capsys):
     assert "samples=117" in out  # diagonal schedule at (0.1, 0.05)
 
 
+def test_query_rejects_fewer_than_one_sample(cycle_file, capsys):
+    for samples in ("0", "-3"):
+        assert run(["--graph", cycle_file, "query", "0", "0", "--samples", samples]) == 2
+        assert "--samples must be >= 1" in capsys.readouterr().err
+
+
 def test_query_validates_nodes(cycle_file, capsys):
     assert run(["--graph", cycle_file, "query", "0", "9"]) == 2
     assert "out of range" in capsys.readouterr().err
@@ -184,7 +190,17 @@ def test_validate_empty_graph(tmp_path, capsys):
     assert run(["--graph", str(p), "validate", "--samples", "100"]) == 0
     out = capsys.readouterr().out
     assert "PASS oracle cross-check: cross-check ok: n=0 forests=1" in out
+    assert "PASS sampler uniformity: skipped: one forest, nothing to test" in out
     assert "zero-size" not in out and "n > 4" not in out
+
+
+def test_validate_one_node_graph_has_one_forest(tmp_path, capsys):
+    p = tmp_path / "one.txt"
+    p.write_text("0 0\n")  # the self-loop is dropped, leaving node 0 alone
+    assert run(["--graph", str(p), "validate", "--samples", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "n=1 forests=1" in out
+    assert "PASS sampler uniformity: skipped: one forest, nothing to test" in out
 
 
 def test_validate_needs_target(capsys):

@@ -118,13 +118,15 @@ def test_iteration_views_are_read_only():
 
 
 def test_page_pool_grows_and_reuses_freed_pages():
-    # Each write to a shared page takes a free page; the pool doubles only
-    # when none is free, and pages that prune releases are taken first.
+    # A new store reserves one spare page per filled page.  Each write to a
+    # shared page takes a free page, spare ones included; the pool doubles
+    # only when none is free, and pages that prune releases are taken first.
     g = Digraph(3)
     fl = ForestList([make([-1, -1, -1], multiplicity=2)])
     held = [f.successor for f in fl]
-    assert fl.pages.shape == (1, 4) and fl.ref.tolist() == [1]
+    assert fl.pages.shape == (2, 4) and fl.ref.tolist() == [1, 0]
     insert_update(g, fl, (0, 1))
+    assert fl.pages.shape == (2, 4) and fl.ref.tolist() == [1, 1]
     insert_update(g, fl, (2, 1))
     assert [f.as_tuple() for f in fl] == [
         (-1, -1, -1), (1, -1, -1), (-1, -1, 1), (1, -1, 1)
@@ -139,6 +141,87 @@ def test_page_pool_grows_and_reuses_freed_pages():
     assert len(fl.ref) == 4  # the spawned row took a page prune freed
     assert fl.ref.tolist() == np.bincount(fl.table[fl.order, 0], minlength=4).tolist()
     assert all(f.invariant_errors(g) == [] for f in fl)
+
+
+def test_first_insert_takes_spare_pages_in_place():
+    # A sampled list's spare pages come with it, so the first insert writes
+    # its copies into them instead of moving the pool to a larger buffer.
+    g = random_digraph(3000, 9000, np.random.default_rng(5))
+    fl = sample_forest_list(g, 16, ForestRng(5))
+    buf, shape = fl.pages.ctypes.data, fl.pages.shape
+    assert shape == (2 * 16 * 3, 1024) and np.count_nonzero(fl.ref) == 16 * 3
+    u = int(np.flatnonzero(next(iter(fl)).successor == -1)[0])
+    v = next(v for v in range(g.n)
+             if v != u and not g.has_edge(u, v) and fl.roots(v, fl.order[:1])[0] != u)
+    assert insert_update(g, fl, (u, v)) >= 1
+    assert fl.pages.ctypes.data == buf and fl.pages.shape == shape
+
+
+def test_churn_frees_root_and_compacts_the_pool():
+    # A stream on 16-page rows.  Once no sampled row is clean, a release
+    # frees ``root``; once at most 1/32 of the pool is live, the live pages
+    # move to a pool of twice their number, renumbered through ``table``.
+    # The pool never holds 32 or more pages per live page.
+    gen = np.random.default_rng(2)
+    g = random_digraph(16384, 4 * 16384, gen)
+    rng = ForestRng(2)
+    fl = sample_forest_list(g, 256, rng)
+    cfg = PruneConfig(base_count=256, factor=2.0)
+    compacted = after = 0
+    for k in range(600):
+        if k % 2 == 0:
+            while True:
+                u, v = (int(x) for x in gen.integers(g.n, size=2))
+                if u != v and not g.has_edge(u, v):
+                    break
+            insert_update(g, fl, (u, v))
+        else:
+            u = int(gen.integers(g.n))
+            while not g.out_degree(u):
+                u = int(gen.integers(g.n))
+            v = int(g.out_neighbors(u)[int(gen.integers(g.out_degree(u)))])
+            delete_update(g, fl, (u, v))
+        rows = {s: f.successor.copy() for s, f in zip(fl.order.tolist(), fl)}
+        pool = len(fl.ref)
+        if prune(fl, cfg, rng) and not fl.clean[fl.order].any():
+            assert len(fl.root) == 0
+        live = np.count_nonzero(fl.ref)
+        assert len(fl.ref) < 32 * live
+        if len(fl.ref) < pool:
+            compacted += 1
+            assert len(fl.ref) == 2 * live and len(fl.root) == 0
+        assert np.array_equal(fl.ref, np.bincount(fl.table[fl.order].ravel(),
+                                                  minlength=len(fl.ref)))
+        assert all(np.array_equal(f.successor, rows[s])
+                   for s, f in zip(fl.order.tolist(), fl))
+        after += compacted > 0
+        if after == 20:
+            break
+    assert compacted and after == 20
+    assert len(fl.root) == 0 and not fl.clean[fl.order].any()
+    successors = [f.successor for f in fl]
+    for i in gen.integers(g.n, size=16).tolist():
+        assert fl.roots(i).tolist() == [chain_root(row, i) for row in successors]
+
+
+def test_pickled_list_holds_live_pages_and_roots_only():
+    g = random_digraph(20000, 80000, np.random.default_rng(9))
+    fl = sample_forest_list(g, 64, ForestRng(9))
+    page_bytes = fl.pages[0].nbytes
+    blob = pickle.dumps(fl)
+    assert len(blob) <= np.count_nonzero(fl.ref) * page_bytes + fl.root.nbytes + 65536
+    copy = pickle.loads(blob)
+    assert np.array_equal(copy.root, fl.root) and copy.clean[copy.order].all()
+    assert all(np.array_equal(a.successor, b.successor) for a, b in zip(copy, fl))
+    assert all(np.array_equal(copy.roots(i), fl.roots(i)) for i in (0, 777, 19999))
+    # With no clean row left, ``root`` stays behind.
+    fl.write(fl.order, 0, -1)
+    blob = pickle.dumps(fl)
+    assert len(blob) <= np.count_nonzero(fl.ref) * page_bytes + 65536
+    copy = pickle.loads(blob)
+    assert len(copy.root) == 0
+    assert all(np.array_equal(a.successor, b.successor) for a, b in zip(copy, fl))
+    assert all(np.array_equal(copy.roots(i), fl.roots(i)) for i in (0, 777, 19999))
 
 
 def test_pickle_and_deepcopy_keep_the_list():
@@ -210,6 +293,7 @@ def test_store_matches_chain_walks_under_random_updates():
     # and ``ref`` counts the live slots naming each page.
     gen = np.random.default_rng(71)
     seen = {"clean": 0, "spawned": 0, "edited": 0, "reused": 0}
+    compacted = 0
     for trial in range(30):
         g = random_small_digraph(gen, max_n=7, min_edges=1)
         rng = ForestRng(700 + trial)
@@ -219,6 +303,7 @@ def test_store_matches_chain_walks_under_random_updates():
         for _ in range(25):
             step = gen.random()
             pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+            pool = len(fl.ref)
             if step < 0.3 or not pairs:
                 prune(fl, cfg, rng)
             else:
@@ -234,6 +319,7 @@ def test_store_matches_chain_walks_under_random_updates():
                     assert len(new) == spawned
                     seen["spawned"] += spawned
                     seen["reused"] += len(new & sampled)
+            compacted += len(fl.ref) < pool
             live = fl.order
             seen["clean"] += int(np.isin(live[fl.clean[live]], list(sampled)).sum())
             assert len(set(live.tolist())) == len(live)
@@ -246,3 +332,4 @@ def test_store_matches_chain_walks_under_random_updates():
             for i in range(g.n):
                 assert fl.roots(i).tolist() == [chain_root(row, i) for row in rows]
     assert min(seen.values()) > 20, seen
+    assert compacted >= 1  # a prune moved the live pages to a smaller pool
