@@ -103,7 +103,10 @@ def _load(args: argparse.Namespace) -> Digraph:
 
 
 def _params(args: argparse.Namespace) -> EstimatorParams:
-    return EstimatorParams(args.epsilon, args.delta)
+    try:
+        return EstimatorParams(args.epsilon, args.delta)
+    except ValueError as exc:  # the message starts with the field, which the option names
+        raise ValueError(f"--{str(exc).split()[0]}: {exc}") from None
 
 
 def _config_lines(args: argparse.Namespace, g: Digraph | None = None) -> list[str]:
@@ -186,7 +189,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
         count = required_samples(_params(args), diagonal=True)
     if count < 1:
         raise ValueError("--samples must be >= 1")
-    cfg = PruneConfig(count, args.prune_factor)
+    try:
+        cfg = PruneConfig(count, args.prune_factor)
+    except ValueError as exc:  # count >= 1 holds here
+        raise ValueError(f"--prune-factor: {exc}") from None
     rng = ForestRng(args.seed)
     forests = sample_forest_list(g, count, rng)
 
@@ -287,8 +293,8 @@ def _graph_battery(g: Digraph, args: argparse.Namespace) -> list[tuple[str, bool
     rng = ForestRng(args.seed)
     probe = sample_forest_list(g, min(200, max(args.samples, 1)), rng)
     if args.inject_cycle and g.n >= 2:
-        probe.write(probe.order[:1], 0, 1)
-        probe.write(probe.order[:1], 1, 0)
+        probe.write(np.arange(1), 0, 1)
+        probe.write(np.arange(1), 1, 0)
     errors: list[str] = []
     for f in probe:
         errors.extend(f.invariant_errors(g))

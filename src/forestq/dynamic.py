@@ -5,16 +5,16 @@ that it remains an exact uniform multiset over the forests of the *new*
 graph.  Each transform is a few column operations on the forest store:
 
 * edge insertion selects the rows where the tail is a root and the head's
-  tree is rooted elsewhere, copies them into free slots (sharing their
-  parents' pages), writes the new edge, and appends those slots to the list;
+  tree is rooted elsewhere, appends copies of them (sharing their parents'
+  pages), and writes the new edge into the copies;
 * edge deletion clears the edge's entry in the rows containing it, keeps
   rows satisfying the same root condition at their weight, and doubles the
   weight of all others.
 
 Weights are integer multiplicities, so the list only grows.  ``prune``
 subsamples it back to a configured cap (a uniform draw without replacement
-from the multiplicity-expanded multiset), which preserves uniformity and
-frees the slots and page references of the rows it drops.
+from the multiplicity-expanded multiset), which preserves uniformity, and
+keeps the rows drawn at least once.
 """
 
 from __future__ import annotations
@@ -64,28 +64,25 @@ def insert_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> int
 
     Returns the number of appended forests.  A rejected insertion
     (duplicate, self-loop, a graph that changed behind the list, a corrupt
-    row, or a total weight past ``MAX_WEIGHT``) leaves the graph's edges and
-    the list untouched.
+    row, or a total weight past ``MAX_WEIGHT``), or one that fails part way
+    (say, with MemoryError), leaves the graph and the list's rows untouched.
     """
     u, v = edge
     forests.check_version(g)
     if g.has_edge(u, v):  # also rejects node ids out of range before any read
         raise ValueError(f"edge ({u}, {v}) exists")
-    order = forests.order
-    src = order[forests.column(order, u) == -1]
+    before = len(forests)
+    src = np.flatnonzero(forests.column(slice(None), u) == -1)
     src = src[forests.roots(v, src) != u]
-    g.insert_edge(u, v)
+    if forests.total_weight + int(forests.weight[src].sum()) > MAX_WEIGHT:
+        raise OverflowError(f"insert ({u}, {v}) would push the list weight past 2**62")
     try:
-        if forests.total_weight + int(forests.weight[src].sum()) > MAX_WEIGHT:
-            raise OverflowError(f"insert ({u}, {v}) would push the list weight "
-                                "past 2**62")
-        dst = forests.copy_rows(src)
-        forests.write(dst, u, v)
+        if len(src):
+            forests.write(forests.append(src), u, v)
+        g.insert_edge(u, v)  # last: it also rejects self-loops, and nothing after it fails
     except BaseException:
-        g.delete_edge(u, v)
-        forests.version = g.version
+        forests.keep(np.arange(len(forests)) < before)
         raise
-    forests.order = np.concatenate([order, dst])
     forests.version = g.version
     return len(src)
 
@@ -103,16 +100,15 @@ def delete_update(g: Digraph, forests: ForestList, edge: tuple[int, int]) -> Non
     forests.check_version(g)
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not found")
-    order = forests.order
-    col = forests.column(order, u)
+    col = forests.column(slice(None), u)
     strip = col == v
     keep = col == -1
-    keep[keep] = forests.roots(v, order[keep]) != u
-    double = order[~(strip | keep)]
+    keep[keep] = forests.roots(v, np.flatnonzero(keep)) != u
+    double = ~(strip | keep)
     if forests.total_weight + int(forests.weight[double].sum()) > MAX_WEIGHT:
         raise OverflowError(f"delete ({u}, {v}) would push the list weight past 2**62")
     g.delete_edge(u, v)
-    forests.write(order[strip], u, -1)
+    forests.write(np.flatnonzero(strip), u, -1)
     forests.weight[double] *= 2
     forests.version = g.version
 
@@ -122,16 +118,14 @@ def prune(forests: ForestList, cfg: PruneConfig, rng: ForestRng) -> bool:
 
     Selection is uniform without replacement over the multiplicity-expanded
     multiset (multivariate hypergeometric over the distinct forests), so a
-    uniform list stays uniform.  Rows drawn zero times free their slots.
+    uniform list stays uniform.  Rows drawn zero times leave the list.
     Returns True if anything was pruned.
     """
     limit = cfg.threshold
     if forests.total_weight <= limit:
         return False
-    keep = rng.generator.multivariate_hypergeometric(forests.weight[forests.order], limit)
-    forests.weight[forests.order] = keep
-    forests.release(forests.order[keep == 0])
-    forests.order = forests.order[keep > 0]
+    forests.weight = rng.generator.multivariate_hypergeometric(forests.weight, limit)
+    forests.keep(forests.weight > 0)
     return True
 
 

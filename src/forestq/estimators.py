@@ -14,7 +14,7 @@ the smoothed estimator meets an (epsilon, delta) accuracy target: absolute
 error for off-diagonal entries, relative error for diagonal ones.
 
 Every estimate is a weighted sum of one per-forest score kernel, computed
-for all live rows of the forest store at once from the root of i in each
+for all rows of the forest store at once from the root of i in each
 row.  Hits are summed as integer multiplicities, so estimates are exact up
 to one final division no matter how large the list grows.
 """
@@ -126,7 +126,7 @@ def _estimate(
     """Weighted mean of the per-forest scores, summed as integers."""
     w = _check_query(forests, i, j)
     hit, base, denom = _scores(g, forests, i, j, estimator)
-    hits = int(forests.weight[forests.order[hit]].sum())
+    hits = int(forests.weight[hit].sum())
     return EntryEstimate((base * w + hits) / (denom * w), w, estimator)
 
 
@@ -161,4 +161,4 @@ def _per_forest_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-forest estimator values and multiplicities, for moment checks."""
     hit, base, denom = _scores(g, forests, i, j, estimator)
-    return (base + hit) / denom, forests.weight[forests.order]
+    return (base + hit) / denom, forests.weight

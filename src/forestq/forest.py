@@ -4,26 +4,26 @@ A forest over n nodes is a successor array: ``successor[i]`` is the node i
 points to, or -1 if i is a root, so following successors from any node
 ends at the root of its tree.
 
-:class:`ForestList` stores a weighted multiset of forests as columns: an
-int64 ``weight`` per slot and ``order``, the live slots in list order.
+:class:`ForestList` stores a weighted multiset of forests as rows: row k of
+``table``, ``weight`` and ``sampled`` is the k-th forest of the list.
 Successors sit in pages of W = 2^shift nodes, W the smallest power of two
->= n but at most 1024: ``pages`` is int32 of shape (P, W), ``table[slot]``
-names the ceil(n/W) pages of a slot, so entry (slot, u) is
-``pages[table[slot, u >> shift], u & (W - 1)]``, and ``ref`` counts the
-live slots naming each page.  An insert's copies share their parents'
-pages; a write copies a page to a free one (``ref == 0``) unless every slot
-naming it takes the same write.  A new store reserves as many spare pages
-as it fills, as zeros that stay unmapped until handed out, so inserts take
-free pages without copying the pool; the pool doubles only when none is
-free.  When a release leaves at most 1/32 of the pool live, the live pages
-move into a pool of twice their number and ``table`` is renumbered.
-``root`` holds the roots the sampler found for a slot while ``clean[slot]``
-is set; a write or a copy into the slot clears it, the other rows' roots
-come from one vectorised chain walk, and a release that leaves no live row
-clean frees ``root``.  Pickles hold only the live pages, and ``root`` only
-while a live row is clean.  ``version`` is the graph version the list
-was sampled or last updated at (``None`` for a list built from forests);
-queries and updates against a graph at another version raise.
+>= n but at most 1024: ``pages`` is int32 of shape (P, W), the int32
+``table[k]`` names row k's ceil(n/W) pages, so entry (k, u) is
+``pages[table[k, u >> shift], u & (W - 1)]``, and ``ref`` counts the rows
+naming each page.  ``append`` adds copies of rows that share their pages; a
+write copies a page to a free one (``ref == 0``) unless every row naming it
+takes the same write.  ``keep`` is the one way rows leave: it drops their
+page references and filters the rows, in order.  A new store reserves as
+many spare pages as it fills, as zeros that stay unmapped until handed out;
+the pool doubles only when none is free, and a keep that leaves at most
+1/32 of it live moves the live pages into a pool of twice their number.
+``sampled[k]`` is the row of ``root``, the roots the sampler found, that
+row k came from, or -1 once a write or a copy made it; other rows' roots
+come from one vectorised chain walk, and a keep that leaves no row using
+``root`` frees it.  Pickles hold only the live pages, and ``root`` only
+while a row uses it.  ``version`` is the graph version the list was sampled
+or last updated at (``None`` for a list built from forests); queries and
+updates against a graph at another version raise.
 
 :class:`Forest` is a plain (successor, multiplicity) record.
 """
@@ -83,11 +83,11 @@ class ForestList:
     """Multiset of forests in a paged columnar store; multiplicities carry the weight.
 
     ``total_weight`` is the multiset cardinality.  Iteration yields a
-    :class:`Forest` holding a read-only copy of each live row, in list order.
+    :class:`Forest` holding a read-only copy of each row, in list order.
     """
 
-    __slots__ = ("n", "shift", "pages", "table", "ref", "weight", "order", "root",
-                 "clean", "version")
+    __slots__ = ("n", "shift", "pages", "table", "ref", "weight", "sampled", "root",
+                 "version")
 
     def __init__(self, forests: Iterable[Forest] = ()) -> None:
         rows = list(forests)
@@ -108,25 +108,24 @@ class ForestList:
         return fl, fl._fill(count, n, sampled=True)
 
     def _fill(self, count: int, n: int, sampled: bool) -> np.ndarray:
-        """Give ``count`` slots fresh contiguous pages, returned as a (count, n) view."""
+        """Give ``count`` rows fresh contiguous pages, returned as a (count, n) view."""
         self.n = n
         self.shift = min(10, max(n - 1, 0).bit_length())
         width = 1 << self.shift
         per = -(-n // width)
         self.pages = np.zeros((2 * count * per, width), dtype=np.int32)
-        self.table = np.arange(count * per).reshape(count, per)
+        self.table = np.arange(count * per, dtype=np.int32).reshape(count, per)
         self.ref = np.zeros(2 * count * per, dtype=np.int64)
         self.ref[:count * per] = 1
         self.weight = np.ones(count, dtype=np.int64)
-        self.order = np.arange(count)
+        self.sampled = np.arange(count) if sampled else np.full(count, -1)
         self.root = np.empty((count if sampled else 0, n), dtype=np.int32)
-        self.clean = np.full(count, sampled)
         self.version: int | None = None
         return self.pages[:count * per].reshape(count, per * width)[:, :n]
 
     @property
     def total_weight(self) -> int:
-        return int(self.weight[self.order].sum())
+        return int(self.weight.sum())
 
     def check_version(self, g) -> None:
         """Raise ValueError if the list is stamped with a version other than ``g``'s."""
@@ -136,15 +135,15 @@ class ForestList:
                 f"version {g.version}: it changed without updating the list"
             )
 
-    def column(self, rows: np.ndarray, u) -> np.ndarray:
-        """Successor of node u (one node, or one per row) in each slot of ``rows``."""
+    def column(self, rows: np.ndarray | slice, u) -> np.ndarray:
+        """Successor of node u (one node, or one per row) in each row of ``rows``."""
         return self.pages[self.table[rows, u >> self.shift], u & ((1 << self.shift) - 1)]
 
     def write(self, rows: np.ndarray, u: int, value: int) -> None:
-        """Set node u's successor to ``value`` in each slot of ``rows``.
+        """Set node u's successor to ``value`` in each row of ``rows``.
 
-        A page that slots outside ``rows`` name too is copied first, and the
-        slots of ``rows`` naming it share the copy.
+        A page that rows outside ``rows`` name too is copied first, and the
+        rows of ``rows`` naming it share the copy.
         """
         k = u >> self.shift
         named = self.table[rows, k]
@@ -158,7 +157,7 @@ class ForestList:
             page[shared] = new
             self.table[rows, k] = page[inv]
         self.pages[page, u & ((1 << self.shift) - 1)] = value
-        self.clean[rows] = False
+        self.sampled[rows] = -1
 
     def _alloc(self, k: int) -> np.ndarray:
         """k free pages, growing the pool only when too few are free."""
@@ -170,32 +169,29 @@ class ForestList:
             free = np.flatnonzero(self.ref == 0)
         return free[:k]
 
-    def copy_rows(self, src: np.ndarray) -> np.ndarray:
-        """Copy rows ``src`` to free slots that share their pages; returns the slots."""
-        k = len(src)
-        if len(self.order) + k > len(self.weight):
-            size = max(2 * len(self.weight), len(self.order) + k)
-            self.table = _grown(self.table, size)
-            self.weight = _grown(self.weight, size)
-            self.clean = _grown(self.clean, size)
-        free = np.ones(len(self.weight), dtype=bool)
-        free[self.order] = False
-        dst = np.flatnonzero(free)[:k]
-        self.table[dst] = self.table[src]
-        np.add.at(self.ref, self.table[src], 1)
-        self.weight[dst] = self.weight[src]
-        self.clean[dst] = False
-        return dst
+    def append(self, src: np.ndarray) -> np.ndarray:
+        """Append copies of rows ``src`` that share their pages; returns the new rows."""
+        start = len(self.weight)
+        # Every allocation comes first, so a MemoryError leaves the list as it was.
+        copied = self.table[src]
+        table = np.concatenate([self.table, copied])
+        weight = np.concatenate([self.weight, self.weight[src]])
+        sampled = np.concatenate([self.sampled, np.full(len(src), -1)])
+        np.add.at(self.ref, copied, 1)
+        self.table, self.weight, self.sampled = table, weight, sampled
+        return np.arange(start, len(weight))
 
-    def release(self, slots: np.ndarray) -> None:
-        """Drop the page references of ``slots``, which must be leaving ``order``.
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the rows where the boolean mask ``rows`` is set, in order.
 
-        Frees ``root`` once no live row outside ``slots`` is clean, and
-        compacts the pool once at most 1/32 of it is live.
+        Drops the other rows' page references, frees ``root`` once no kept
+        row uses it, and compacts the pool once at most 1/32 of it is live.
         """
-        np.subtract.at(self.ref, self.table[slots], 1)
-        self.clean[slots] = False
-        if len(self.root) and not self.clean[self.order].any():
+        kept = np.flatnonzero(rows)
+        np.subtract.at(self.ref, self.table.take(np.flatnonzero(~rows), axis=0), 1)
+        self.table = self.table.take(kept, axis=0)
+        self.weight, self.sampled = self.weight.take(kept), self.sampled.take(kept)
+        if len(self.root) and (self.sampled < 0).all():
             self.root = np.empty((0, self.n), dtype=np.int32)
         if 32 * np.count_nonzero(self.ref) <= len(self.ref):
             self.pages, self.table, self.ref = self._packed(2)
@@ -207,23 +203,24 @@ class ForestList:
         pages = np.zeros((factor * len(live), self.pages.shape[1]), dtype=np.int32)
         # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
         np.take(self.pages, live, axis=0, out=pages[:len(live)], mode="clip")
-        remap = np.zeros(len(self.ref), dtype=np.intp)
+        remap = np.zeros(len(self.ref), dtype=np.int32)
         remap[live] = np.arange(len(live))
         return pages, remap[self.table], _grown(self.ref[live], len(pages))
 
     def __getstate__(self) -> tuple[None, dict]:
         state = {k: getattr(self, k) for k in self.__slots__}
         state["pages"], state["table"], state["ref"] = self._packed(1)
-        if not self.clean[self.order].any():
+        if (self.sampled < 0).all():
             state["root"] = self.root[:0]
         return None, state  # (no __dict__, slot values), as pickle and copy expect
 
     def roots(self, i: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """Root of node i in each slot of ``rows`` (default: the live rows in order)."""
-        rows = self.order if rows is None else rows
+        """Root of node i in each row of ``rows`` (default: every row, in order)."""
+        rows = np.arange(len(self)) if rows is None else rows
+        src = self.sampled[rows]
+        clean = src >= 0
         out = np.empty(len(rows), dtype=np.intp)
-        clean = self.clean[rows]
-        out[clean] = self.root[rows[clean], i]
+        out[clean] = self.root[src[clean], i]
         dirty = rows[~clean]
         out[~clean] = _walk(self, dirty, np.full(len(dirty), i))
         return out
@@ -237,13 +234,13 @@ class ForestList:
         return agg
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.weight)
 
     def __iter__(self) -> Iterator[Forest]:
-        for s in self.order.tolist():
-            row = self.pages[self.table[s]].ravel()[:self.n]
+        for k in range(len(self)):
+            row = self.pages[self.table[k]].ravel()[:self.n]
             row.flags.writeable = False
-            yield Forest(row, int(self.weight[s]))
+            yield Forest(row, int(self.weight[k]))
 
     def __repr__(self) -> str:
         return f"ForestList(distinct={len(self)}, weight={self.total_weight})"
@@ -257,7 +254,7 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
 
 
 def _walk(fl: ForestList, rows: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """Root of node ``cur[k]`` in slot ``rows[k]``; a chain past n nodes is a cycle."""
+    """Root of node ``cur[k]`` in row ``rows[k]``; a chain past n nodes is a cycle."""
     out = np.empty(len(rows), dtype=np.intp)
     idx = np.arange(len(rows))
     for _ in range(fl.n + 1):

@@ -157,6 +157,19 @@ def test_replay_rejects_invalid_event(cycle_file, tmp_path, capsys):
     assert "event 0: edge (0, 2) not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--prune-factor", "0.5", "factor must be >= 1, got 0.5"),
+    ("--epsilon", "2", "epsilon must be in (0, 1), got 2.0"),
+    ("--delta", "0", "delta must be in (0, 1), got 0.0"),
+])
+def test_replay_errors_name_the_option(cycle_file, tmp_path, capsys, option, value, message):
+    stream = write_stream(tmp_path, "I 0 2\n")
+    samples = ["--samples", "5"] if option == "--prune-factor" else []
+    assert run(["--graph", cycle_file, option, value, "replay", "--stream", stream]
+               + samples) == 2
+    assert capsys.readouterr().err == f"error: {option}: {message}\n"
+
+
 # ---- validate ----
 
 def test_validate_passes_on_cycle(cycle_file, capsys):

@@ -17,10 +17,16 @@ from forestq import (
     insert_update,
     parse_update_stream,
     prune,
+    random_digraph,
     sample_forest_list,
     sfqplus_query,
 )
 from helpers import random_small_digraph, three_cycle, uniform_list
+
+
+def list_rows(forests: ForestList) -> list[tuple[tuple[int, ...], int]]:
+    """Each row's successors and weight, in list order."""
+    return [(f.as_tuple(), f.multiplicity) for f in forests]
 
 
 def assert_exactly_uniform(forests: ForestList, g) -> None:
@@ -159,8 +165,8 @@ def test_updates_refuse_weight_past_2_62():
         insert_update(g, fl, (2, 0))
     assert g.m == 0 and len(fl) == 1
     assert fl.weight_by_forest() == {(-1, -1, -1): 2**62}
-    # The undo moved the graph's version on, and the list follows it.
-    assert fl.version == g.version == 2
+    # The refused insert never touched the graph, so its version stays.
+    assert g.version == 0 and fl.version is None
 
 
 def test_insert_on_a_corrupt_row_changes_nothing():
@@ -168,15 +174,43 @@ def test_insert_on_a_corrupt_row_changes_nothing():
     # graph and the list are left as they were.
     g = three_cycle()
     fl = sample_forest_list(g, 40, ForestRng(9))
-    row = fl.order[fl.column(fl.order, 2) == -1][:1]
+    row = np.flatnonzero(fl.column(np.arange(len(fl)), 2) == -1)[:1]
     fl.write(row, 0, 1)
     fl.write(row, 1, 0)
     edges, version = sorted(g.edges()), g.version
-    weight, order = fl.weight.copy(), fl.order.copy()
+    rows = list_rows(fl)
     with pytest.raises(ForestCycleError):
         insert_update(g, fl, (2, 1))
     assert sorted(g.edges()) == edges and g.version == version == fl.version
-    assert np.array_equal(fl.weight, weight) and np.array_equal(fl.order, order)
+    assert list_rows(fl) == rows
+
+
+def test_failed_insert_leaves_the_list_untouched(monkeypatch):
+    # The insert runs out of memory in the write that follows its copies:
+    # the copies go again, every page reference with them, and the graph
+    # never takes the edge.
+    g = random_digraph(50, 150, np.random.default_rng(20))
+    fl = sample_forest_list(g, 20, ForestRng(20))
+
+    def spawns(u: int, v: int) -> int:
+        return int(((fl.column(np.arange(len(fl)), u) == -1) & (fl.roots(v) != u)).sum())
+
+    u, v = next((u, v) for u in range(g.n) for v in range(g.n)
+                if u != v and not g.has_edge(u, v) and spawns(u, v) >= 5)
+    spawned = spawns(u, v)
+    edges, version, rows = sorted(g.edges()), g.version, list_rows(fl)
+
+    def out_of_memory(self, k):
+        raise MemoryError
+
+    monkeypatch.setattr(ForestList, "_alloc", out_of_memory)
+    with pytest.raises(MemoryError):
+        insert_update(g, fl, (u, v))
+    assert list_rows(fl) == rows
+    assert np.array_equal(fl.ref, np.bincount(fl.table.ravel(), minlength=len(fl.ref)))
+    assert sorted(g.edges()) == edges and g.version == version == fl.version
+    monkeypatch.undo()
+    assert insert_update(g, fl, (u, v)) == spawned
 
 
 def test_graph_changed_behind_list_raises():
@@ -189,13 +223,12 @@ def test_graph_changed_behind_list_raises():
     sfqplus_query(g, fl, 0, 1)
 
     g.insert_edge(1, 2)  # behind the list's back
-    edges, weight, order = sorted(g.edges()), fl.weight.copy(), fl.order.copy()
+    edges, rows = sorted(g.edges()), list_rows(fl)
     for call in (lambda: insert_update(g, fl, (2, 1)), lambda: delete_update(g, fl, (0, 1)),
                  lambda: sfqplus_query(g, fl, 0, 0)):
         with pytest.raises(ValueError, match="version"):
             call()
-        assert sorted(g.edges()) == edges
-        assert np.array_equal(fl.weight, weight) and np.array_equal(fl.order, order)
+        assert sorted(g.edges()) == edges and list_rows(fl) == rows
 
 
 def test_list_built_from_forests_is_unstamped():
@@ -326,7 +359,7 @@ def test_apply_stream_raises_when_weight_falls_below_floor(monkeypatch):
 
     def lossy_delete(g, forests, edge):
         g.delete_edge(*edge)
-        forests.order = forests.order[:1]
+        forests.keep(np.arange(len(forests)) < 1)
 
     monkeypatch.setattr(dynamic, "delete_update", lossy_delete)
     g = three_cycle()
@@ -369,7 +402,7 @@ def test_updated_forests_share_no_storage():
     before = len(fl)
     insert_update(g, fl, (0, 2))
     parent_tuples = [f.as_tuple() for f in fl][:before]
-    children = fl.order[before:]
+    children = np.arange(before, len(fl))
     fl.write(children, 1, -1)
     fl.write(children[:1], 2, 1)
     assert [f.as_tuple() for f in fl][:before] == parent_tuples

@@ -24,6 +24,13 @@ def make(succ, **kw) -> Forest:
     return Forest(np.array(succ, dtype=np.int32), **kw)
 
 
+def prune_draw(fl: ForestList, cfg: PruneConfig, rng: ForestRng) -> np.ndarray | None:
+    """The weights ``prune(fl, cfg, rng)`` is about to draw; None if it will not prune."""
+    if fl.total_weight <= cfg.threshold:
+        return None
+    return deepcopy(rng).generator.multivariate_hypergeometric(fl.weight, cfg.threshold)
+
+
 def test_resolve_root_walks_chain():
     fl = ForestList([make([1, 2, -1])])  # 0 -> 1 -> 2
     assert [int(fl.roots(i)[0]) for i in range(3)] == [2, 2, 2]
@@ -39,12 +46,12 @@ def test_dirty_flag_semantics():
     # edit must not leave the old root behind.
     g = two_node()
     fl = sample_forest_list(g, 50, ForestRng(3))
-    joined = fl.column(fl.order, 0) == 1
-    assert joined.any() and fl.clean[fl.order].all()
+    joined = fl.column(np.arange(len(fl)), 0) == 1
+    assert joined.any() and fl.sampled.tolist() == list(range(50))
     assert set(fl.roots(0)[joined].tolist()) == {1}
     delete_update(g, fl, (0, 1))
-    assert not fl.clean[fl.order[joined]].any()
-    assert fl.clean[fl.order[~joined]].all()
+    assert (fl.sampled[joined] == -1).all()
+    assert fl.sampled[~joined].tolist() == np.flatnonzero(~joined).tolist()
     assert fl.roots(0).tolist() == [0] * len(fl)
 
 
@@ -132,14 +139,14 @@ def test_page_pool_grows_and_reuses_freed_pages():
         (-1, -1, -1), (1, -1, -1), (-1, -1, 1), (1, -1, 1)
     ]
     assert len(fl.ref) == 4 and fl.ref.tolist() == [1, 1, 1, 1]
-    assert len(fl.weight) >= 4 and not fl.clean[fl.order].any()
+    assert len(fl.table) == 4 and (fl.sampled == -1).all()
     assert held[0].tolist() == [-1, -1, -1]
     prune(fl, PruneConfig(base_count=2, factor=1.0), ForestRng(4))
-    live = set(fl.table[fl.order, 0].tolist())
+    live = set(fl.table[:, 0].tolist())
     assert len(fl) <= 2 and fl.ref.sum() == len(live) == len(fl)
     assert insert_update(g, fl, (1, 2)) == 1
     assert len(fl.ref) == 4  # the spawned row took a page prune freed
-    assert fl.ref.tolist() == np.bincount(fl.table[fl.order, 0], minlength=4).tolist()
+    assert fl.ref.tolist() == np.bincount(fl.table[:, 0], minlength=4).tolist()
     assert all(f.invariant_errors(g) == [] for f in fl)
 
 
@@ -152,16 +159,17 @@ def test_first_insert_takes_spare_pages_in_place():
     assert shape == (2 * 16 * 3, 1024) and np.count_nonzero(fl.ref) == 16 * 3
     u = int(np.flatnonzero(next(iter(fl)).successor == -1)[0])
     v = next(v for v in range(g.n)
-             if v != u and not g.has_edge(u, v) and fl.roots(v, fl.order[:1])[0] != u)
+             if v != u and not g.has_edge(u, v) and fl.roots(v, np.arange(1))[0] != u)
     assert insert_update(g, fl, (u, v)) >= 1
     assert fl.pages.ctypes.data == buf and fl.pages.shape == shape
 
 
 def test_churn_frees_root_and_compacts_the_pool():
-    # A stream on 16-page rows.  Once no sampled row is clean, a release
+    # A stream on 16-page rows.  Once no row uses a ``root`` row, a prune
     # frees ``root``; once at most 1/32 of the pool is live, the live pages
     # move to a pool of twice their number, renumbered through ``table``.
-    # The pool never holds 32 or more pages per live page.
+    # The pool never holds 32 or more pages per live page, and a prune
+    # keeps the drawn rows, in order, as they were.
     gen = np.random.default_rng(2)
     g = random_digraph(16384, 4 * 16384, gen)
     rng = ForestRng(2)
@@ -181,24 +189,26 @@ def test_churn_frees_root_and_compacts_the_pool():
                 u = int(gen.integers(g.n))
             v = int(g.out_neighbors(u)[int(gen.integers(g.out_degree(u)))])
             delete_update(g, fl, (u, v))
-        rows = {s: f.successor.copy() for s, f in zip(fl.order.tolist(), fl)}
+        rows = [f.successor.copy() for f in fl]
+        draw = prune_draw(fl, cfg, rng)
         pool = len(fl.ref)
-        if prune(fl, cfg, rng) and not fl.clean[fl.order].any():
-            assert len(fl.root) == 0
+        if prune(fl, cfg, rng):
+            rows = [row for row, w in zip(rows, draw) if w]
+            assert fl.weight.tolist() == draw[draw > 0].tolist()
+            if (fl.sampled < 0).all():
+                assert len(fl.root) == 0
         live = np.count_nonzero(fl.ref)
         assert len(fl.ref) < 32 * live
         if len(fl.ref) < pool:
             compacted += 1
             assert len(fl.ref) == 2 * live and len(fl.root) == 0
-        assert np.array_equal(fl.ref, np.bincount(fl.table[fl.order].ravel(),
-                                                  minlength=len(fl.ref)))
-        assert all(np.array_equal(f.successor, rows[s])
-                   for s, f in zip(fl.order.tolist(), fl))
+        assert np.array_equal(fl.ref, np.bincount(fl.table.ravel(), minlength=len(fl.ref)))
+        assert all(np.array_equal(f.successor, row) for f, row in zip(fl, rows, strict=True))
         after += compacted > 0
         if after == 20:
             break
     assert compacted and after == 20
-    assert len(fl.root) == 0 and not fl.clean[fl.order].any()
+    assert len(fl.root) == 0 and (fl.sampled == -1).all()
     successors = [f.successor for f in fl]
     for i in gen.integers(g.n, size=16).tolist():
         assert fl.roots(i).tolist() == [chain_root(row, i) for row in successors]
@@ -211,11 +221,11 @@ def test_pickled_list_holds_live_pages_and_roots_only():
     blob = pickle.dumps(fl)
     assert len(blob) <= np.count_nonzero(fl.ref) * page_bytes + fl.root.nbytes + 65536
     copy = pickle.loads(blob)
-    assert np.array_equal(copy.root, fl.root) and copy.clean[copy.order].all()
+    assert np.array_equal(copy.root, fl.root) and copy.sampled.tolist() == list(range(64))
     assert all(np.array_equal(a.successor, b.successor) for a, b in zip(copy, fl))
     assert all(np.array_equal(copy.roots(i), fl.roots(i)) for i in (0, 777, 19999))
     # With no clean row left, ``root`` stays behind.
-    fl.write(fl.order, 0, -1)
+    fl.write(np.arange(len(fl)), 0, -1)
     blob = pickle.dumps(fl)
     assert len(blob) <= np.count_nonzero(fl.ref) * page_bytes + 65536
     copy = pickle.loads(blob)
@@ -232,73 +242,74 @@ def test_pickle_and_deepcopy_keep_the_list():
     rows = [(f.as_tuple(), f.multiplicity) for f in fl]
     for copy in (pickle.loads(pickle.dumps(fl)), deepcopy(fl)):
         assert [(f.as_tuple(), f.multiplicity) for f in copy] == rows
-        assert np.array_equal(copy.order, fl.order)
+        assert np.array_equal(copy.sampled, fl.sampled)
         assert copy.version == fl.version == g.version
         assert all(np.array_equal(copy.roots(i), fl.roots(i)) for i in range(g.n))
-        copy.write(copy.order, 0, -1)  # the copy owns its pages
+        copy.write(np.arange(len(copy)), 0, -1)  # the copy owns its pages
         assert [(f.as_tuple(), f.multiplicity) for f in fl] == rows
 
 
 def test_multi_page_rows_match_a_dense_model():
     # n = 2100 spreads a row over three 1024-node pages, so spawned rows
     # keep sharing the pages an insert does not write, and a delete can hit
-    # a shared page: slots sharing a page agree on it, so every slot naming
-    # the page takes the same write, in place.
+    # a shared page: rows sharing a page agree on it, so every row naming
+    # the page takes the same write, in place.  ``model`` holds the rows in
+    # list order: an insert appends, a prune keeps the drawn rows.
     gen = np.random.default_rng(72)
     g = random_digraph(2100, 6300, gen)
     rng = ForestRng(72)
     fl = sample_forest_list(g, 6, rng)
     assert fl.pages.shape[1] == 1024 and fl.table.shape[1] == 3
-    model = {s: f.successor.copy() for s, f in zip(fl.order.tolist(), fl)}
+    model = [f.successor.copy() for f in fl]
     cfg = PruneConfig(base_count=6, factor=4.0)
     in_place = 0
     for step in range(80):
-        live = fl.order.tolist()
         if step % 2:
-            row = model[live[int(gen.integers(len(live)))]]
+            row = model[int(gen.integers(len(model)))]
             u = int(gen.choice(np.flatnonzero(row >= 0)))
             v = int(row[u])
-            hit = np.array([s for s in live if model[s][u] == v])
+            hit = np.array([k for k, m in enumerate(model) if m[u] == v])
             page, shared = fl.table[hit, u >> 10], fl.ref[fl.table[hit, u >> 10]] > 1
             delete_update(g, fl, (u, v))
             assert np.array_equal(fl.table[hit, u >> 10], page)
             in_place += int(shared.sum())
-            for s in hit.tolist():
-                model[s] = model[s].copy()
-                model[s][u] = -1
+            for k in hit.tolist():
+                model[k] = model[k].copy()
+                model[k][u] = -1
         else:
             while True:
                 u, v = (int(x) for x in gen.integers(g.n, size=2))
                 if u != v and not g.has_edge(u, v):
                     break
-            src = [s for s in live if model[s][u] == -1 and chain_root(model[s], v) != u]
-            insert_update(g, fl, (u, v))
-            for d, s in zip(fl.order[len(live):].tolist(), src, strict=True):
-                model[d] = model[s].copy()
-                model[d][u] = v
-        prune(fl, cfg, rng)
-        assert all(np.array_equal(f.successor, model[s]) for s, f in zip(fl.order.tolist(), fl))
-        named = np.bincount(fl.table[fl.order].ravel(), minlength=len(fl.ref))
+            src = [m for m in model if m[u] == -1 and chain_root(m, v) != u]
+            assert insert_update(g, fl, (u, v)) == len(src)
+            for m in src:
+                model.append(m.copy())
+                model[-1][u] = v
+        draw = prune_draw(fl, cfg, rng)
+        if prune(fl, cfg, rng):
+            model = [m for m, w in zip(model, draw) if w]
+        assert all(np.array_equal(f.successor, m) for f, m in zip(fl, model, strict=True))
+        named = np.bincount(fl.table.ravel(), minlength=len(fl.ref))
         assert np.array_equal(fl.ref, named)
-    assert len(np.unique(fl.table[fl.order])) < 3 * len(fl)
+    assert len(np.unique(fl.table)) < 3 * len(fl)
     assert in_place > 0
 
 
 def test_store_matches_chain_walks_under_random_updates():
     # Random insert, delete and prune sequences on small digraphs.  After
-    # every step every live row is a forest of the current graph, and the
-    # roots the store reports equal a plain chain walk of the row, whether
-    # the row still holds the sampler's roots, was spawned by an insert, or
-    # was edited by a delete, or was spawned into a sampled row's freed slot;
-    # and ``ref`` counts the live slots naming each page.
+    # every step every row is a forest of the current graph, and the roots
+    # the store reports equal a plain chain walk of the row, whether the
+    # row still holds the sampler's roots (at its own position, or moved up
+    # by a prune), was spawned by an insert, or was edited by a delete; and
+    # ``ref`` counts the rows naming each page.
     gen = np.random.default_rng(71)
-    seen = {"clean": 0, "spawned": 0, "edited": 0, "reused": 0}
+    seen = {"clean": 0, "moved": 0, "spawned": 0, "edited": 0}
     compacted = 0
     for trial in range(30):
         g = random_small_digraph(gen, max_n=7, min_edges=1)
         rng = ForestRng(700 + trial)
         fl = sample_forest_list(g, 12, rng)
-        sampled = set(fl.order.tolist())
         cfg = PruneConfig(base_count=12, factor=2.0)
         for _ in range(25):
             step = gen.random()
@@ -309,24 +320,23 @@ def test_store_matches_chain_walks_under_random_updates():
             else:
                 u, v = pairs[int(gen.integers(len(pairs)))]
                 if g.has_edge(u, v):
-                    edited = fl.order[fl.column(fl.order, u) == v]
+                    edited = np.count_nonzero(fl.column(np.arange(len(fl)), u) == v)
                     delete_update(g, fl, (u, v))
-                    seen["edited"] += len(edited)
+                    seen["edited"] += edited
                 else:
-                    before = set(fl.order.tolist())
+                    before = len(fl)
                     spawned = insert_update(g, fl, (u, v))
-                    new = set(fl.order.tolist()) - before
-                    assert len(new) == spawned
+                    assert len(fl) == before + spawned
+                    assert (fl.sampled[before:] == -1).all()
                     seen["spawned"] += spawned
-                    seen["reused"] += len(new & sampled)
             compacted += len(fl.ref) < pool
-            live = fl.order
-            seen["clean"] += int(np.isin(live[fl.clean[live]], list(sampled)).sum())
-            assert len(set(live.tolist())) == len(live)
-            assert (fl.weight[live] >= 1).all()
-            # Each page is counted once per live slot naming it.
-            named = np.bincount(fl.table[live].ravel(), minlength=len(fl.ref))
-            assert np.array_equal(fl.ref, named) and (fl.ref[fl.table[live]] > 0).all()
+            clean = np.flatnonzero(fl.sampled >= 0)
+            seen["clean"] += len(clean)
+            seen["moved"] += int((fl.sampled[clean] != clean).sum())
+            assert len(np.unique(fl.sampled[clean])) == len(clean)
+            assert (fl.weight >= 1).all()
+            # Each page is counted once per row naming it.
+            assert np.array_equal(fl.ref, np.bincount(fl.table.ravel(), minlength=len(fl.ref)))
             rows = [f.successor for f in fl]
             assert all(f.invariant_errors(g) == [] for f in fl)
             for i in range(g.n):

@@ -105,10 +105,10 @@ def test_large_graph_forest_root_cache_matches_rebuild():
         if u != v and not g.has_edge(u, v):
             g.insert_edge(u, v)
     fl = sample_forest_list(g, 3, ForestRng(30))
-    assert fl.clean[fl.order].all()  # the sampler hands over the roots it found
-    for s, f in zip(fl.order.tolist(), fl):
+    assert fl.sampled.tolist() == [0, 1, 2]  # the sampler hands over the roots it found
+    for k, f in enumerate(fl):
         walked = [chain_root(f.successor, i) for i in range(n)]
-        assert fl.root[s].tolist() == walked
+        assert fl.root[k].tolist() == walked
 
 
 def test_same_seed_same_forests_across_chunks():
@@ -127,7 +127,7 @@ def test_out_degree_zero_nodes_are_always_roots():
     sinks = [u for u in range(g.n) if g.out_degree(u) == 0]
     assert sinks == [5]
     fl = sample_forest_list(g, 2000, ForestRng(14))
-    assert (fl.column(fl.order, 5) == -1).all()
+    assert (fl.column(np.arange(len(fl)), 5) == -1).all()
     assert (fl.roots(5) == 5).all()
 
 
@@ -157,9 +157,9 @@ def test_root_caches_match_rebuild_on_random_digraphs():
     for _ in range(40):
         g = random_small_digraph(gen, max_n=10)
         fl = sample_forest_list(g, 30, rng)
-        assert fl.clean[fl.order].all()
-        for s, f in zip(fl.order.tolist(), fl):
-            assert fl.root[s].tolist() == [chain_root(f.successor, i) for i in range(g.n)]
+        assert fl.sampled.tolist() == list(range(30))
+        for k, f in enumerate(fl):
+            assert fl.root[k].tolist() == [chain_root(f.successor, i) for i in range(g.n)]
 
 
 def test_early_round_end_pops_what_all_passes_pop(monkeypatch):
