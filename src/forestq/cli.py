@@ -26,7 +26,7 @@ import numpy as np
 from . import oracle
 from .dynamic import (PruneConfig, UpdateEvent, apply_stream, delete_update, insert_update,
                       parse_update_stream)
-from .estimators import EstimatorParams, required_samples, sfq_query, sfqplus_query
+from .estimators import EntryEstimate, EstimatorParams, required_samples, sfq_query, sfqplus_query
 from .forest import Forest, ForestList
 from .graph import Digraph, load_edge_list, random_digraph
 from .sampling import ForestRng, sample_forest_list
@@ -120,6 +120,11 @@ def _config_lines(args: argparse.Namespace, g: Digraph | None = None) -> list[st
     return lines
 
 
+def _entry(method: str, g: Digraph, forests: ForestList, i: int, j: int) -> EntryEstimate:
+    """Entry (i, j) by ``method``, "sfq" or "sfqplus"."""
+    return sfq_query(forests, i, j) if method == "sfq" else sfqplus_query(g, forests, i, j)
+
+
 @contextlib.contextmanager
 def _open_out(path: str | None) -> Iterator:
     if path is None:
@@ -146,10 +151,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     forests = sample_forest_list(g, count, rng)
     t1 = time.perf_counter()
-    if args.method == "sfq":
-        est = sfq_query(forests, i, j)
-    else:
-        est = sfqplus_query(g, forests, i, j)
+    est = _entry(args.method, g, forests, i, j)
     t2 = time.perf_counter()
     print(
         f"entry=({i},{j}) method={est.estimator} value={est.value!r} "
@@ -197,13 +199,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     forests = sample_forest_list(g, count, rng)
 
     def run_queries() -> list[float]:
-        vals = []
-        for i, j, method in queries:
-            if method == "sfq":
-                vals.append(sfq_query(forests, i, j).value)
-            else:
-                vals.append(sfqplus_query(g, forests, i, j).value)
-        return vals
+        return [_entry(method, g, forests, i, j).value for i, j, method in queries]
 
     timing_rows: list[list] = []
     with _open_out(args.out) as fh:
@@ -243,6 +239,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 # ---- validate ----
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.random < 0:
+        raise ValueError("--random must be >= 0")
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     if not args.graph and not args.random:
         raise ValueError("validate needs --graph and/or --random N")
     checks: list[tuple[str, bool, str]] = []
@@ -291,15 +291,11 @@ def _graph_battery(g: Digraph, args: argparse.Namespace) -> list[tuple[str, bool
         forest_count = 0
 
     rng = ForestRng(args.seed)
-    probe = sample_forest_list(g, min(200, max(args.samples, 1)), rng)
+    probe = sample_forest_list(g, min(200, args.samples), rng)
     if args.inject_cycle and g.n >= 2:
         probe.write(np.arange(1), 0, 1)
         probe.write(np.arange(1), 1, 0)
-    errors: list[str] = []
-    for f in probe:
-        errors.extend(f.invariant_errors(g))
-        if errors:
-            break
+    errors = probe.invariant_errors(g)
     checks.append(
         ("sampled forests valid", not errors,
          "; ".join(errors) if errors else f"{len(probe)} forests checked")
@@ -310,19 +306,13 @@ def _graph_battery(g: Digraph, args: argparse.Namespace) -> list[tuple[str, bool
 
         fs = oracle.enumerate_forests(g)
         rng2 = ForestRng(args.seed + 1)
-        batch = sample_forest_list(g, args.samples, rng2)
-        counts = dict.fromkeys(fs.forests, 0)
-        unknown = 0
-        for f in batch:
-            key = f.as_tuple()
-            if key in counts:
-                counts[key] += 1
-            else:
-                unknown += 1
+        agg = sample_forest_list(g, args.samples, rng2).weight_by_forest()
+        counts = [agg.pop(f, 0) for f in fs.forests]
+        unknown = sum(agg.values())
         if unknown:
             checks.append(("sampler uniformity", False, f"{unknown} samples are not forests of the graph"))
         else:
-            pvalue = stats.chisquare(list(counts.values())).pvalue
+            pvalue = stats.chisquare(counts).pvalue
             checks.append(
                 ("sampler uniformity", pvalue >= 0.001,
                  f"chi-square p={pvalue:.4f} over {forest_count} forests, {args.samples} samples")
@@ -349,9 +339,7 @@ def _exact_update_uniformity(g: Digraph) -> tuple[bool, str]:
             if u == v:
                 continue
             g2 = g.copy()
-            forests = ForestList(
-                Forest(np.array(f, dtype=np.int32)) for f in base.forests
-            )
+            forests = ForestList(Forest(f) for f in base.forests)
             if g2.has_edge(u, v):
                 delete_update(g2, forests, (u, v))
             else:

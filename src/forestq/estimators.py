@@ -93,18 +93,16 @@ def forest_distance(
     Exactly 0.0 for i == j.  Estimation noise can push values slightly
     outside [0, 2]; they are returned unclamped.
     """
-    if method == "sfqplus":
-        def q(a: int, b: int) -> float:
-            return sfqplus_query(g, forests, a, b).value
-    elif method == "sfq":
-        def q(a: int, b: int) -> float:
-            return sfq_query(forests, a, b).value
-    else:
+    if method not in ("sfq", "sfqplus"):
         raise ValueError(f"method must be 'sfq' or 'sfqplus', got {method!r}")
+    if method == "sfqplus":
+        forests.check_version(g)
     if i == j:
         _check_query(forests, i, j)
         return 0.0
-    return q(i, i) + q(j, j) - q(i, j) - q(j, i)
+    ii, jj, ij, ji = (_estimate(g, forests, a, b, method).value
+                      for a, b in ((i, i), (j, j), (i, j), (j, i)))
+    return ii + jj - ij - ji
 
 
 def _check_query(forests: ForestList, i: int, j: int) -> int:

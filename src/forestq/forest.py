@@ -23,7 +23,8 @@ come from one vectorised chain walk, and a keep that leaves no row using
 ``root`` frees it.  Pickles hold only the live pages, and ``root`` only
 while a row uses it.  ``version`` is the graph version the list was sampled
 or last updated at (``None`` for a list built from forests); queries and
-updates against a graph at another version raise.
+updates against a graph at another version raise.  ``invariant_errors``
+checks that every row is a spanning converging forest of a graph.
 
 :class:`Forest` is a plain (successor, multiplicity) record.
 """
@@ -55,24 +56,6 @@ class Forest:
     def as_tuple(self) -> tuple[int, ...]:
         """Canonical encoding: the successor array as a tuple."""
         return tuple(self.successor.tolist())
-
-    def invariant_errors(self, graph) -> list[str]:
-        """Structural checks against a graph; empty list means valid."""
-        errors: list[str] = []
-        if self.n != graph.n:
-            errors.append(f"size mismatch: forest has {self.n} nodes, graph {graph.n}")
-            return errors
-        if self.multiplicity < 1:
-            errors.append(f"multiplicity {self.multiplicity} < 1")
-        for u in range(self.n):
-            v = int(self.successor[u])
-            if v != -1 and not (0 <= v < self.n and graph.has_edge(u, v)):
-                errors.append(f"successor edge ({u}, {v}) not in graph")
-        try:
-            _walk(ForestList([self]), np.zeros(self.n, np.intp), np.arange(self.n))
-        except (ForestCycleError, ValueError) as exc:  # a cycle, or successors out of range
-            errors.append(str(exc))
-        return errors
 
     def __repr__(self) -> str:
         roots = int((self.successor == -1).sum())
@@ -224,6 +207,34 @@ class ForestList:
         dirty = rows[~clean]
         out[~clean] = _walk(self, dirty, np.full(len(dirty), i))
         return out
+
+    def invariant_errors(self, g) -> list[str]:
+        """Why rows are not spanning converging forests of ``g``, each message
+        naming its row; empty means valid."""
+        n = self.n
+        if n != g.n:
+            return [f"size mismatch: rows have {n} nodes, graph {g.n}"]
+        tails, heads = g._out.pairs()
+        # A sentinel above every key keeps each searchsorted position in bounds.
+        keys = np.append(np.sort(tails * n + heads), np.iinfo(np.int64).max)
+        errors: list[str] = []
+        for k, f in enumerate(self):
+            if f.multiplicity < 1:
+                errors.append(f"row {k}: multiplicity {f.multiplicity} < 1")
+            tail = np.flatnonzero(f.successor != -1)
+            head = f.successor[tail]
+            key = tail * n + head
+            # Range first: for v outside [0, n), u * n + v can be the key of another edge.
+            outside = (head < 0) | (head >= n)
+            absent = outside | (keys[np.searchsorted(keys, key)] != key)
+            errors += [f"row {k}: successor edge ({u}, {v}) not in graph"
+                       for u, v in zip(tail[absent].tolist(), head[absent].tolist())]
+            if not outside.any():  # a successor >= n would send the walk past the row
+                try:
+                    _walk(self, np.full(n, k), np.arange(n))
+                except ForestCycleError as exc:
+                    errors.append(f"row {k}: {exc}")
+        return errors
 
     def weight_by_forest(self) -> dict[tuple[int, ...], int]:
         """Aggregate multiplicity per distinct successor tuple."""

@@ -193,8 +193,8 @@ def test_validate_detects_injected_cycle(cycle_file, capsys):
     assert run(["--graph", cycle_file, "--seed", "1", "validate",
                 "--samples", "3000", "--inject-cycle"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL sampled forests valid" in out
-    assert "cycle" in out
+    assert "FAIL sampled forests valid: row 0: successor edge (1, 0) not in graph; " \
+           "row 0: successor chains contain a cycle\n" in out
 
 
 def test_validate_empty_graph(tmp_path, capsys):
@@ -214,6 +214,17 @@ def test_validate_one_node_graph_has_one_forest(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "n=1 forests=1" in out
     assert "PASS sampler uniformity: skipped: one forest, nothing to test" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["validate", "--random", "-3"], "--random must be >= 0"),
+    (["--graph", "GRAPH", "validate", "--samples", "0"], "--samples must be >= 1"),
+    (["--graph", "GRAPH", "validate", "--samples", "-5"], "--samples must be >= 1"),
+])
+def test_validate_rejects_impossible_counts(cycle_file, capsys, args, message):
+    args = [cycle_file if a == "GRAPH" else a for a in args]
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_validate_needs_target(capsys):

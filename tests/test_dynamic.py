@@ -111,8 +111,7 @@ def test_single_edge_updates_keep_uniformity_random_sweep():
             else:
                 insert_update(g2, fl, (u, v))
             assert_exactly_uniform(fl, g2)
-            for f in fl:
-                assert f.invariant_errors(g2) == []
+            assert fl.invariant_errors(g2) == []
         done += 1
 
 

@@ -80,23 +80,27 @@ def test_forest_list_rejects_malformed_forests():
 
 def test_invariant_errors():
     g = three_cycle()
-    ok = make([1, 2, -1])
-    assert ok.invariant_errors(g) == []
 
-    wrong_edge = make([2, -1, -1])  # (0, 2) is not an edge of the 3-cycle
-    assert any("not in graph" in e for e in wrong_edge.invariant_errors(g))
+    def errors(*forests: Forest) -> list[str]:
+        return ForestList(forests).invariant_errors(g)
 
-    out_of_range = make([5, -1, -1])
-    assert any("outside" in e for e in out_of_range.invariant_errors(g))
+    assert errors(make([1, 2, -1]), make([-1, -1, -1])) == []
+    # (0, 2) is not an edge of the 3-cycle.
+    assert errors(make([2, -1, -1])) == ["row 0: successor edge (0, 2) not in graph"]
+    assert errors(make([1, 2, -1]), make([1, 2, 0])) == [
+        "row 1: successor chains contain a cycle"
+    ]
+    assert errors(make([1, 2, -1], multiplicity=0)) == ["row 0: multiplicity 0 < 1"]
+    assert errors(make([-1])) == ["size mismatch: rows have 1 nodes, graph 3"]
 
-    cyclic = make([1, 2, 0])
-    assert any("cycle" in e for e in cyclic.invariant_errors(g))
-
-    bad_mult = make([1, 2, -1], multiplicity=0)
-    assert any("multiplicity" in e for e in bad_mult.invariant_errors(g))
-
-    short = make([-1])
-    assert any("size mismatch" in e for e in short.invariant_errors(g))
+    # Records cannot hold a successor outside [-1, n), but writes can put
+    # one: 0 * 3 + 5 is the key of edge (1, 2), and 1 * 3 - 2 that of (0, 1).
+    fl = ForestList([make([1, 2, -1]), make([1, 2, -1])])
+    fl.write(np.arange(1), 0, 5)
+    fl.write(np.arange(1, 2), 1, -2)
+    assert fl.invariant_errors(g) == [
+        "row 0: successor edge (0, 5) not in graph", "row 1: successor edge (1, -2) not in graph"
+    ]
 
 
 def test_forest_list_weights():
@@ -147,7 +151,7 @@ def test_page_pool_grows_and_reuses_freed_pages():
     assert insert_update(g, fl, (1, 2)) == 1
     assert len(fl.ref) == 4  # the spawned row took a page prune freed
     assert fl.ref.tolist() == np.bincount(fl.table[:, 0], minlength=4).tolist()
-    assert all(f.invariant_errors(g) == [] for f in fl)
+    assert fl.invariant_errors(g) == []
 
 
 def test_first_insert_takes_spare_pages_in_place():
@@ -338,7 +342,7 @@ def test_store_matches_chain_walks_under_random_updates():
             # Each page is counted once per row naming it.
             assert np.array_equal(fl.ref, np.bincount(fl.table.ravel(), minlength=len(fl.ref)))
             rows = [f.successor for f in fl]
-            assert all(f.invariant_errors(g) == [] for f in fl)
+            assert fl.invariant_errors(g) == []
             for i in range(g.n):
                 assert fl.roots(i).tolist() == [chain_root(row, i) for row in rows]
     assert min(seen.values()) > 20, seen

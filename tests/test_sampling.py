@@ -4,6 +4,7 @@ from scipy import stats
 
 from forestq import (
     Digraph,
+    ForestList,
     ForestRng,
     enumerate_forests,
     random_digraph,
@@ -26,10 +27,9 @@ def test_sampled_forests_are_valid():
     rng = ForestRng(21)
     for _ in range(25):
         g = random_small_digraph(gen, max_n=8)
-        for _ in range(20):
-            f = sample_forest(g, rng)
-            assert f.invariant_errors(g) == []
-            assert f.multiplicity == 1
+        forests = [sample_forest(g, rng) for _ in range(20)]
+        assert ForestList(forests).invariant_errors(g) == []
+        assert all(f.multiplicity == 1 for f in forests)
 
 
 def test_same_seed_same_forests():
