@@ -21,8 +21,6 @@ import sys
 import time
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from . import oracle
 from .dynamic import (PruneConfig, UpdateEvent, apply_stream, delete_update, insert_update,
                       parse_update_stream)
@@ -68,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check N random digraphs (n <= 5) as well")
     v.add_argument("--samples", type=int, default=20000,
                    help="sample count for the uniformity check")
-    v.add_argument("--inject-cycle", action="store_true",
-                   help="corrupt one sampled forest first (checker self-test; must fail)")
     return p
 
 
@@ -109,15 +105,13 @@ def _params(args: argparse.Namespace) -> EstimatorParams:
         raise ValueError(f"--{str(exc).split()[0]}: {exc}") from None
 
 
-def _config_lines(args: argparse.Namespace, g: Digraph | None = None) -> list[str]:
-    lines = [
+def _config_lines(args: argparse.Namespace, g: Digraph) -> list[str]:
+    return [
         f"# forestq {args.command}",
         f"# graph={args.graph} mode={args.mode} seed={args.seed} epsilon={args.epsilon}"
         f" delta={args.delta} prune_factor={args.prune_factor}",
+        f"# n={g.n} m={g.m}",
     ]
-    if g is not None:
-        lines.append(f"# n={g.n} m={g.m}")
-    return lines
 
 
 def _entry(method: str, g: Digraph, forests: ForestList, i: int, j: int) -> EntryEstimate:
@@ -206,7 +200,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         for line in _config_lines(args, g):
             fh.write(line + "\n")
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["seq", "kind", "u", "v", "total_weight", "distinct"]
+        header = ["seq", "kind", "u", "v", "total_weight", "rows"]
         header += [f"q_{i}_{j}_{m}" for i, j, m in queries]
         writer.writerow(header)
         writer.writerow([-1, "init", "", "", forests.total_weight, len(forests)]
@@ -292,9 +286,6 @@ def _graph_battery(g: Digraph, args: argparse.Namespace) -> list[tuple[str, bool
 
     rng = ForestRng(args.seed)
     probe = sample_forest_list(g, min(200, args.samples), rng)
-    if args.inject_cycle and g.n >= 2:
-        probe.write(np.arange(1), 0, 1)
-        probe.write(np.arange(1), 1, 0)
     errors = probe.invariant_errors(g)
     checks.append(
         ("sampled forests valid", not errors,

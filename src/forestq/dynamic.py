@@ -117,8 +117,8 @@ def prune(forests: ForestList, cfg: PruneConfig, rng: ForestRng) -> bool:
     """Subsample the list down to ``cfg.threshold`` if it exceeds it.
 
     Selection is uniform without replacement over the multiplicity-expanded
-    multiset (multivariate hypergeometric over the distinct forests), so a
-    uniform list stays uniform.  Rows drawn zero times leave the list.
+    multiset (multivariate hypergeometric over the rows), so a uniform list
+    stays uniform.  Rows drawn zero times leave the list.
     Returns True if anything was pruned.
     """
     limit = cfg.threshold

@@ -135,28 +135,16 @@ def _scores(
 
     sfq hits where i roots at j.  Off the diagonal sfqplus also hits at the
     in-neighbors of j, over 2 + d_j; on it, base 1 plus hits at the
-    in-neighbors of i, over 1 + d_i.  neighbor-average, a reference point
-    for variance tests, hits at the in-neighbors of j only, over 1 + d_j.
+    in-neighbors of i, over 1 + d_i.
     """
-    if estimator not in ("sfq", "sfqplus", "neighbor-average"):
+    if estimator not in ("sfq", "sfqplus"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    if estimator == "neighbor-average" and i == j:
-        raise ValueError("neighbor-average estimator is defined off the diagonal only")
     root = forests.roots(i)
     if estimator == "sfq":
         return root == j, 0, 1
     into = np.zeros(g.n, dtype=bool)
     into[g.in_neighbors(j)] = True
-    if estimator == "neighbor-average":
-        return into[root], 0, 1 + g.out_degree(j)
     if i == j:
         return into[root], 1, 1 + g.out_degree(i)
     return (root == j) | into[root], 0, 2 + g.out_degree(j)
 
-
-def _per_forest_values(
-    g: Digraph, forests: ForestList, i: int, j: int, estimator: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-forest estimator values and multiplicities, for moment checks."""
-    hit, base, denom = _scores(g, forests, i, j, estimator)
-    return (base + hit) / denom, forests.weight

@@ -254,7 +254,7 @@ class ForestList:
             yield Forest(row, int(self.weight[k]))
 
     def __repr__(self) -> str:
-        return f"ForestList(distinct={len(self)}, weight={self.total_weight})"
+        return f"ForestList(rows={len(self)}, weight={self.total_weight})"
 
 
 def _grown(a: np.ndarray, size: int) -> np.ndarray:

@@ -101,9 +101,6 @@ class ForestSet:
     def size(self) -> int:
         return len(self.forests)
 
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {f: k for k, f in enumerate(self.forests)}
-
 
 def enumerate_forests(g: Digraph) -> ForestSet:
     """Enumerate every spanning converging forest by backtracking.

@@ -103,20 +103,12 @@ def _pop_cycles(draw, succ_out: np.ndarray, root_out: np.ndarray) -> None:
         for _ in range(passes):
             hop = jump[jump[active]]
             jump[active] = hop
-            before, active = active.size, active[succ[hop] >= 0]
+            active = active[succ[hop] >= 0]
             if not active.size:
                 succ_out[...] = succ.reshape(rows, n)
                 root_out[...] = (jump - offset).reshape(rows, n)
                 return
-            if active.size == before:
-                # If jump permutes the image of the unsettled nodes, every
-                # node in it lies on a cycle and every unsettled node jumps
-                # onto one: the later passes would pop the same cycles.
-                cycle = np.unique(jump[active])
-                if np.array_equal(np.unique(jump[cycle]), cycle):
-                    break
-        else:
-            cycle = np.unique(jump[active])
+        cycle = np.unique(jump[active])
         succ[cycle] = draw(node[cycle])
         nxt = succ[active]
         jump[active] = np.where(nxt < 0, active, nxt + offset[active])

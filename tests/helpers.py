@@ -7,6 +7,7 @@ import numpy as np
 import os
 
 from forestq import Digraph, Forest, ForestList, LoadResult, enumerate_forests, random_digraph
+from forestq import estimators
 
 
 def build_graph(n: int, edges) -> Digraph:
@@ -128,25 +129,15 @@ def adjacency(g: Digraph) -> tuple[list[list[int]], list[list[int]]]:
             [g.in_neighbors(u).tolist() for u in range(g.n)])
 
 
-def pop_cycles_all_passes(draw, succ_out: np.ndarray, root_out: np.ndarray) -> None:
-    """Cycle popping that runs every doubling pass of every round."""
-    rows, n = succ_out.shape
-    size = rows * n
-    node = np.tile(np.arange(n, dtype=np.int64), rows)
-    offset = np.repeat(np.arange(0, size, max(n, 1), dtype=np.int64), n)
-    succ = draw(node)
-    active = np.arange(size, dtype=np.int64)
-    jump = np.where(succ < 0, active, succ + offset)
-    while True:
-        for _ in range(n.bit_length() + 1):
-            hop = jump[jump[active]]
-            jump[active] = hop
-            active = active[succ[hop] >= 0]
-            if not active.size:
-                succ_out[...] = succ.reshape(rows, n)
-                root_out[...] = (jump - offset).reshape(rows, n)
-                return
-        cycle = np.unique(jump[active])
-        succ[cycle] = draw(node[cycle])
-        nxt = succ[active]
-        jump[active] = np.where(nxt < 0, active, nxt + offset[active])
+
+def per_forest_values(g: Digraph, fl: ForestList, i: int, j: int, kind: str):
+    """Per-forest estimator values and multiplicities, for moment checks.
+
+    sfq and sfqplus score through the library's kernel.  neighbor-average,
+    a reference point between them for variance tests, hits where i roots
+    at an in-neighbor of j, over 1 + d_j; it is unbiased off the diagonal.
+    """
+    if kind == "neighbor-average":
+        return np.isin(fl.roots(i), g.in_neighbors(j)) / (1 + g.out_degree(j)), fl.weight
+    hit, base, denom = estimators._scores(g, fl, i, j, kind)
+    return (base + hit) / denom, fl.weight

@@ -41,7 +41,7 @@ from forestq import (
     sfqplus_query,
 )
 from forestq.cli import main as cli_main
-from forestq.estimators import _per_forest_values
+from helpers import per_forest_values as _per_forest_values
 from helpers import three_cycle, two_node, weighted_mean_var
 
 

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from forestq import cli
 from forestq.cli import main
 
 
@@ -26,7 +28,8 @@ def test_parser_offers_exactly_the_documented_subcommands(cycle_file, capsys):
     assert exc.value.code == 0
     usage = capsys.readouterr().out
     assert "{query,replay,validate}" in usage
-    for args in (["bench"], ["--threads", "1", "query", "0", "0"]):
+    for args in (["bench"], ["--threads", "1", "query", "0", "0"],
+                 ["validate", "--inject-cycle"]):
         with pytest.raises(SystemExit) as exc:
             run(["--graph", cycle_file] + args)
         assert exc.value.code == 2
@@ -107,7 +110,7 @@ def test_replay_csv_structure(cycle_file, tmp_path, capsys):
     assert any("n=3 m=3" in l for l in comments)
     rows = list(csv.reader(l for l in lines if not l.startswith("#")))
     header, data = rows[0], rows[1:]
-    assert header[:6] == ["seq", "kind", "u", "v", "total_weight", "distinct"]
+    assert header[:6] == ["seq", "kind", "u", "v", "total_weight", "rows"]
     assert header[6:] == ["q_0_0_sfqplus", "q_0_1_sfq"]
     assert len(data) == 3  # init + 2 events
     assert data[0][1] == "init"
@@ -189,9 +192,22 @@ def test_validate_random_sweep(capsys):
     assert "PASS random-digraph cross-check" in out
 
 
-def test_validate_detects_injected_cycle(cycle_file, capsys):
+def test_validate_detects_injected_cycle(cycle_file, capsys, monkeypatch):
+    # Write the 2-cycle 0 <-> 1 into row 0 of the first list drawn, the
+    # validity probe; the uniformity check draws its own list later.
+    sample, calls = cli.sample_forest_list, []
+
+    def corrupted(g, count, rng):
+        forests = sample(g, count, rng)
+        calls.append(count)
+        if len(calls) == 1:
+            forests.write(np.arange(1), 0, 1)
+            forests.write(np.arange(1), 1, 0)
+        return forests
+
+    monkeypatch.setattr(cli, "sample_forest_list", corrupted)
     assert run(["--graph", cycle_file, "--seed", "1", "validate",
-                "--samples", "3000", "--inject-cycle"]) == 1
+                "--samples", "3000"]) == 1
     out = capsys.readouterr().out
     assert "FAIL sampled forests valid: row 0: successor edge (1, 0) not in graph; " \
            "row 0: successor chains contain a cycle\n" in out

@@ -15,9 +15,9 @@ from forestq import (
     sfq_query,
     sfqplus_query,
 )
-from forestq.estimators import _per_forest_values
 from helpers import (
     build_graph,
+    per_forest_values,
     random_small_digraph,
     three_cycle,
     two_node,
@@ -50,7 +50,7 @@ def test_estimators_exact_on_uniform_lists():
                 )
                 if i != j:
                     mean, _ = weighted_mean_var(
-                        *_per_forest_values(g, fl, i, j, "neighbor-average")
+                        *per_forest_values(g, fl, i, j, "neighbor-average")
                     )
                     assert mean == pytest.approx(omega[i, j], abs=1e-12)
 
@@ -153,7 +153,7 @@ def test_variance_closed_forms_three_cycle():
     fl = sample_forest_list(g, 60000, ForestRng(33))
 
     def emp(i, j, kind):
-        return weighted_mean_var(*_per_forest_values(g, fl, i, j, kind))
+        return weighted_mean_var(*per_forest_values(g, fl, i, j, kind))
 
     for i, j in [(0, 1), (0, 2), (1, 0)]:
         w = omega[i, j]
@@ -181,13 +181,13 @@ def test_variance_ordering():
     g = three_cycle()
     fl = sample_forest_list(g, 60000, ForestRng(34))
     for i, j in [(0, 1), (1, 2), (2, 0)]:
-        _, v_sfq = weighted_mean_var(*_per_forest_values(g, fl, i, j, "sfq"))
-        _, v_mid = weighted_mean_var(*_per_forest_values(g, fl, i, j, "neighbor-average"))
-        _, v_plus = weighted_mean_var(*_per_forest_values(g, fl, i, j, "sfqplus"))
+        _, v_sfq = weighted_mean_var(*per_forest_values(g, fl, i, j, "sfq"))
+        _, v_mid = weighted_mean_var(*per_forest_values(g, fl, i, j, "neighbor-average"))
+        _, v_plus = weighted_mean_var(*per_forest_values(g, fl, i, j, "sfqplus"))
         assert v_plus <= v_mid <= v_sfq
     for i in range(3):
-        _, v_sfq = weighted_mean_var(*_per_forest_values(g, fl, i, i, "sfq"))
-        _, v_plus = weighted_mean_var(*_per_forest_values(g, fl, i, i, "sfqplus"))
+        _, v_sfq = weighted_mean_var(*per_forest_values(g, fl, i, i, "sfq"))
+        _, v_plus = weighted_mean_var(*per_forest_values(g, fl, i, i, "sfqplus"))
         assert v_plus <= v_sfq
 
 
@@ -195,9 +195,7 @@ def test_per_forest_values_validation():
     g = two_node()
     fl = uniform_list(g)
     with pytest.raises(ValueError, match="unknown estimator"):
-        _per_forest_values(g, fl, 0, 1, "bogus")
-    with pytest.raises(ValueError, match="diagonal"):
-        _per_forest_values(g, fl, 0, 0, "neighbor-average")
+        per_forest_values(g, fl, 0, 1, "bogus")
 
 
 # ---- forest distance ----

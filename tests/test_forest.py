@@ -17,7 +17,7 @@ from forestq import (
     random_digraph,
     sample_forest_list,
 )
-from helpers import chain_root, random_small_digraph, three_cycle, two_node
+from helpers import chain_root, random_small_digraph, three_cycle, two_node, uniform_list
 
 
 def make(succ, **kw) -> Forest:
@@ -119,6 +119,17 @@ def test_forest_list_iteration_and_repr():
     assert [f.n for f in fl] == [1]
     assert "weight=1" in repr(fl)
     assert "x1" in repr(next(iter(fl)))
+
+
+def test_repr_counts_rows_not_distinct_forests():
+    # Deleting 0 -> 1 from a directed 3-cycle turns each of the 3 forests
+    # that use it into a copy of a row that roots 0: 7 rows, 4 forests.
+    g = three_cycle()
+    fl = uniform_list(g)
+    delete_update(g, fl, (0, 1))
+    assert len(fl) == 7
+    assert len(fl.weight_by_forest()) == 4
+    assert repr(fl) == "ForestList(rows=7, weight=8)"
 
 
 def test_iteration_views_are_read_only():

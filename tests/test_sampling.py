@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,7 +17,6 @@ from forestq import sampling
 from helpers import (
     build_graph,
     chain_root,
-    pop_cycles_all_passes,
     random_small_digraph,
     three_cycle,
     two_node,
@@ -162,44 +163,42 @@ def test_root_caches_match_rebuild_on_random_digraphs():
             assert fl.root[k].tolist() == [chain_root(f.successor, i) for i in range(g.n)]
 
 
-def test_early_round_end_pops_what_all_passes_pop(monkeypatch):
-    # On reciprocal graphs most of a round's passes see an unchanged
-    # unsettled set; ending the round there must pop the same cycles with
-    # the same draws as running every pass.
-    gen = np.random.default_rng(18)
-    graphs = [random_digraph(2000, 6000, gen)]
-    for n in (3, 12, 60, 800):
-        pairs = {(min(u, v), max(u, v)) for u, v in gen.integers(n, size=(3 * n, 2)).tolist() if u != v}
-        graphs.append(build_graph(n, [e for u, v in pairs for e in ((u, v), (v, u))]))
-    runs = []
-    for pop in (sampling._pop_cycles, pop_cycles_all_passes):
-        monkeypatch.setattr(sampling, "_pop_cycles", pop)
-        runs.append([sample_forest_list(g, 40, ForestRng(19)) for g in graphs])
-    for early, full in zip(*runs):
-        assert [f.as_tuple() for f in early] == [f.as_tuple() for f in full]
-        assert np.array_equal(early.root, full.root)
+def test_fixed_seed_draws_are_pinned():
+    # Digests of every successor and root byte at fixed graphs and seeds,
+    # so a change to the sampler's loop cannot change a draw unnoticed.
+    # The one-way list spans two chunks; the reciprocal graph pops cycles
+    # over several rounds.
+    def digest(fl):
+        h = hashlib.sha256(np.stack([f.successor for f in fl]).astype(np.int32).tobytes())
+        h.update(fl.root.astype(np.int32).tobytes())
+        return h.hexdigest()
+
+    oneway = random_digraph(2000, 8000, np.random.default_rng(22))
+    assert 40 > sampling._CHUNK // oneway.n
+    gen = np.random.default_rng(24)
+    n = 800
+    pairs = {(min(u, v), max(u, v)) for u, v in gen.integers(n, size=(3 * n, 2)).tolist() if u != v}
+    reciprocal = build_graph(n, sorted(e for u, v in pairs for e in ((u, v), (v, u))))
+    assert digest(sample_forest_list(oneway, 40, ForestRng(23))) == (
+        "e41448942a47445e16a818ba6ccd64170be91b6ddf4b23de4060bdd181a66da0")
+    assert digest(sample_forest_list(reciprocal, 40, ForestRng(25))) == (
+        "2963fd77112014ee566bbb30e188464462394c8b0b1c4d9136229388166b5452")
 
 
-def test_early_round_end_pops_only_cycle_nodes():
+def test_round_pops_only_cycle_nodes():
     # The path 0 -> 1 -> ... -> 63 ends in the 2-cycle 62 <-> 63 and reaches
-    # no root, so the unsettled set keeps its size for several passes before
-    # the jumps land on the cycle; only the cycle may be drawn again.
+    # no root, so no node settles in the first round; only the cycle may
+    # be drawn again.
     n = 64
     first = np.append(np.arange(1, n), n - 2)
+    asked = []
 
-    def run(pop):
-        asked = []
+    def draw(v):
+        asked.append(v.tolist())
+        return first[v] if len(asked) == 1 else np.full(v.size, -1)
 
-        def draw(v):
-            asked.append(v.tolist())
-            return first[v] if len(asked) == 1 else np.full(v.size, -1)
-
-        succ, root = np.empty((1, n), np.int32), np.empty((1, n), np.int32)
-        pop(draw, succ, root)
-        return asked[1:], succ, root
-
-    (asked, succ, root), (asked_all, succ_all, root_all) = (
-        run(sampling._pop_cycles), run(pop_cycles_all_passes))
-    assert asked == asked_all == [[n - 2, n - 1]]
-    assert np.array_equal(succ, succ_all) and np.array_equal(root, root_all)
+    succ, root = np.empty((1, n), np.int32), np.empty((1, n), np.int32)
+    sampling._pop_cycles(draw, succ, root)
+    assert asked[1:] == [[n - 2, n - 1]]
+    assert succ[0].tolist() == list(range(1, n - 1)) + [-1, -1]
     assert root[0].tolist() == [n - 2] * (n - 1) + [n - 1]
