@@ -1,11 +1,12 @@
 import copy
 import io
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
-from forestq import Digraph, load_edge_list, random_digraph
+from forestq import Digraph, graph, load_edge_list, random_digraph
 from helpers import adjacency, build_graph, reference_load_edge_list, reference_random_digraph
 
 
@@ -14,6 +15,12 @@ def test_empty_graph():
     assert g.n == 0
     assert g.m == 0
     assert list(g.edges()) == []
+    # Copying or pickling an edgeless graph sorts no neighbours and warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (Digraph(0), Digraph(3), random_digraph(4, 0, np.random.default_rng(0))):
+            for h in (g.copy(), pickle.loads(pickle.dumps(g))):
+                assert (h.n, h.m, list(h.edges())) == (g.n, 0, [])
 
 
 def test_insert_and_degrees():
@@ -234,27 +241,62 @@ def test_load_empty_input():
     assert res.graph.m == 0
 
 
-def test_load_malformed_lines():
+def test_load_malformed_lines(tmp_path):
     with pytest.raises(ValueError, match="line 2"):
         load_edge_list(io.StringIO("0 1\n0\n"))
     with pytest.raises(ValueError, match="line 1.*non-integer"):
         load_edge_list(io.StringIO("a b\n"))
     with pytest.raises(ValueError, match="mode"):
         load_edge_list(io.StringIO(""), mode="both")
+    # Each message is the line loop's, also for files of digits, signs and
+    # blanks that a vectorised parse could misread.
     cases = [
-        ("0 1\n# c\n\n5\n", "line 4: expected 'u v'"),
-        ("0 1\n2 x 3\n", "line 2: non-integer"),
-        ("0 1\n1 2#3\n", "line 2: non-integer"),
-        ("0 1\n1.5 2\n", "line 2: non-integer"),
-        (f"0 1\n\n% c\n1 {2**63}\n", "line 4: endpoint outside int64"),
-        (f"{-2**63 - 1} 0\n", "line 1: endpoint outside int64"),
+        ("0 1\n# c\n\n5\n", "line 4: expected 'u v', got '5'"),
+        ("0 1\n2 x 3\n", "line 2: non-integer endpoint in '2 x 3'"),
+        ("0 1\n1 2#3\n", "line 2: non-integer endpoint in '1 2#3'"),
+        ("0 1\n1.5 2\n", "line 2: non-integer endpoint in '1.5 2'"),
+        (f"0 1\n\n% c\n1 {2**63}\n", f"line 4: endpoint outside int64 in '1 {2**63}'"),
+        (f"{-2**63 - 1} 0\n", f"line 1: endpoint outside int64 in '{-2**63 - 1} 0'"),
+        ("3 - 4\n", "line 1: non-integer endpoint in '3 - 4'"),
+        (f"1 {'9' * 20}\n", f"line 1: endpoint outside int64 in '1 {'9' * 20}'"),
+        ("1\r2\n", "line 1: expected 'u v', got '1'"),  # a bare \r ends a line
+        ("4-5\n", "line 1: expected 'u v', got '4-5'"),
+        ("+-1 2\n", "line 1: non-integer endpoint in '+-1 2'"),
+        ("1 2+\n", "line 1: non-integer endpoint in '1 2+'"),
+        ("5\n", "line 1: expected 'u v', got '5'"),
     ]
+    path = tmp_path / "g.txt"
     for text, msg in cases:
-        for source in (io.StringIO(text), text.splitlines(keepends=True)):
-            with pytest.raises(ValueError, match=msg):
+        path.write_bytes(text.encode())
+        for source in (io.StringIO(text, newline=None), text.splitlines(keepends=True), path):
+            with pytest.raises(ValueError) as err:
                 load_edge_list(source)
-    extremes = load_edge_list([f"{-2**63} {2**63 - 1}\n"])
-    assert extremes.node_ids == [-2**63, 2**63 - 1]
+            assert str(err.value) == msg, (text, source)
+    accepted = [
+        (f"{-2**63} {2**63 - 1}\n", [-2**63, 2**63 - 1]),
+        (f"1 {2**63 - 2}\n", [1, 2**63 - 2]),  # 19 digits
+        ("1_0 2\n", [10, 2]),
+        ("0 1 2\n", [0, 1]),  # a third column is ignored
+    ]
+    for text, ids in accepted:
+        path.write_bytes(text.encode())
+        for source in (io.StringIO(text, newline=None), text.splitlines(keepends=True), path):
+            res = load_edge_list(source)
+            assert res.node_ids == ids and list(res.graph.edges()) == [(0, 1)], (text, source)
+            assert (res.duplicates_dropped, res.self_loops_dropped) == (0, 0)
+
+
+def test_load_reports_undecodable_bytes_as_text_mode_does(tmp_path):
+    # Early in the file or past its first 8 KB, the error is the one that
+    # reading the path as UTF-8 text gives.
+    path = tmp_path / "g.txt"
+    for data in (b"0 1\n\xff 2\n", b"0 1\n" * 5000 + b"2 \xc3\n"):
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as ref:
+            reference_load_edge_list(path)
+        with pytest.raises(UnicodeDecodeError) as err:
+            load_edge_list(path)
+        assert str(err.value) == str(ref.value)
 
 
 def _random_edge_text(gen: np.random.Generator) -> str:
@@ -276,15 +318,49 @@ def _random_edge_text(gen: np.random.Generator) -> str:
     return "\n".join(lines) + ("\n" if gen.random() < 0.5 else "")
 
 
+def _plain_edge_text(gen: np.random.Generator) -> str:
+    """Edge-list text of two ids of up to 18 digits a line, with tabs, \v
+    and \f, CRLF and bare CR line ends, blank and indented lines, loops and
+    repeats.  One text in five has signed ids, which the line loop reads."""
+    ids = gen.choice([0, 1, 7, 3, 10**17, 10**18 - 1, 123456789012],
+                     size=int(gen.integers(1, 8)), replace=False).tolist()
+    if gen.random() < 0.2:
+        ids = [-x if gen.random() < 0.5 else x for x in ids]
+        signs = ["", "+"]
+    else:
+        signs = [""]
+    lines = []
+
+    def pick(options: list[str]) -> str:
+        return str(gen.choice(options))
+
+    for _ in range(int(gen.integers(0, 40))):
+        if gen.random() < 0.1:
+            lines.append(pick(["", "  ", "\t", "\v\f"]))
+            continue
+        a, b = (ids[int(k)] for k in gen.integers(len(ids), size=2))
+        u = (pick(signs) if a >= 0 else "-") + str(abs(a))
+        v = ("-" if b < 0 else "") + (pick(["", "0", "00"]) if abs(b) < 10**16 else "") + str(abs(b))
+        lines.append(pick(["", " ", "\t"]) + u + pick([" ", "\t", "  ", " \t\v", "\f"]) + v
+                     + pick(["", " ", "\t "]))
+    end = str(gen.choice(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if gen.random() < 0.5 else "")
+
+
 def test_load_matches_reference_loop(tmp_path):
-    gen = np.random.default_rng(2024)
+    # Unsigned plain texts take the vectorised parse.  str.splitlines would
+    # also end their lines at \v and \f, so they skip the list-of-lines source.
+    mixed, plain = np.random.default_rng(2024), np.random.default_rng(77)
     path = tmp_path / "g.txt"
-    for trial in range(300):
-        text = _random_edge_text(gen)
+    for trial in range(600):
+        text = _random_edge_text(mixed) if trial < 300 else _plain_edge_text(plain)
         mode = ("directed", "undirected")[trial % 2]
-        path.write_text(text)
-        ref = reference_load_edge_list(io.StringIO(text), mode)
-        for source in (path, str(path), io.StringIO(text), text.splitlines(keepends=True)):
+        path.write_bytes(text.encode())
+        ref = reference_load_edge_list(path, mode)
+        sources = [path, str(path), io.StringIO(text, newline=None)]
+        if trial < 300:
+            sources.append(text.splitlines(keepends=True))
+        for source in sources:
             res = load_edge_list(source, mode)
             assert res.node_ids == ref.node_ids, text
             assert (res.graph.n, res.graph.m) == (ref.graph.n, ref.graph.m)
@@ -292,6 +368,27 @@ def test_load_matches_reference_loop(tmp_path):
             assert res.self_loops_dropped == ref.self_loops_dropped
             assert adjacency(res.graph) == adjacency(ref.graph)
             assert list(res.graph.edges()) == list(ref.graph.edges())
+
+
+def test_plain_files_skip_the_line_loop(tmp_path, monkeypatch):
+    # Only files the vectorised parse cannot read reach _parse_lines; errors
+    # turn every warning (a deprecated fromstring, say) into a failure.
+    def no_line_loop(lines):
+        raise AssertionError("line loop")
+
+    monkeypatch.setattr(graph, "_parse_lines", no_line_loop)
+    path = tmp_path / "g.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text, ids in [("0 1\n1 2\n2 0\n", [0, 1, 2]), ("\n 5\t6\r\n\n7 5", [5, 6, 7]),
+                          ("", []), ("\n \t\n", [])]:
+            path.write_bytes(text.encode())
+            assert load_edge_list(path).node_ids == ids
+        for text in ("0 1\n# mid-file comment\n1 2\n", "# header\n0 1\n", "0 1 1.0\n",
+                     "-1 2\n", "1 +2\n"):
+            path.write_bytes(text.encode())
+            with pytest.raises(AssertionError, match="line loop"):
+                load_edge_list(path)
 
 
 def test_load_from_path(tmp_path):
